@@ -5,7 +5,9 @@ use std::time::{Duration, Instant};
 
 use isopredict_history::{serializability, History, TxnId};
 use isopredict_obs::{HeartbeatSample, Obs};
-use isopredict_smt::{Heartbeat, SmtResult, SmtSolver, SolverPostmortem, SolverStats, TermId};
+use isopredict_smt::{
+    Heartbeat, SmtResult, SmtSolver, SolverPostmortem, SolverStats, TermId, TheoryStats,
+};
 
 use crate::config::{PredictorConfig, Strategy};
 use crate::encode::Encoder;
@@ -186,6 +188,7 @@ impl Predictor {
         install_heartbeat_bridge(&mut encoder.smt, obs, self.config.heartbeat_every);
 
         let before = encoder.smt.solver_stats();
+        let theory_before = encoder.smt.theory_stats();
         // detlint: allow(wall-clock) — solving_time is non-deterministic-half data.
         let solve_start = Instant::now();
         let solve_span = obs.span("solve");
@@ -198,7 +201,11 @@ impl Predictor {
         solve_span.label("result", smt_result_label(result));
         solve_span.finish();
         let solving_time = solve_start.elapsed();
-        count_solver_work(obs, &encoder.smt.solver_stats().diff(&before));
+        count_solver_work(
+            obs,
+            &encoder.smt.solver_stats().diff(&before),
+            &encoder.smt.theory_stats().diff(&theory_before),
+        );
 
         match result {
             SmtResult::Unsat => PredictionOutcome::NoPrediction {
@@ -275,6 +282,7 @@ impl Predictor {
                 };
             }
             let before = encoder.smt.solver_stats();
+            let theory_before = encoder.smt.theory_stats();
             // detlint: allow(wall-clock) — solving_time is non-deterministic-half data.
             let solve_start = Instant::now();
             let solve_span = obs.span("solve");
@@ -289,7 +297,11 @@ impl Predictor {
             solve_span.label("result", smt_result_label(result));
             solve_span.finish();
             solving_time += solve_start.elapsed();
-            count_solver_work(obs, &encoder.smt.solver_stats().diff(&before));
+            count_solver_work(
+                obs,
+                &encoder.smt.solver_stats().diff(&before),
+                &encoder.smt.theory_stats().diff(&theory_before),
+            );
 
             match result {
                 SmtResult::Unknown => {
@@ -444,12 +456,16 @@ fn count_encoding_size(obs: &Obs, stats: &SolverStats) {
 }
 
 /// Records the solver work performed by one `check` call (`solver.*`
-/// counters), from a [`SolverStats::diff`] around the call.
-fn count_solver_work(obs: &Obs, delta: &SolverStats) {
+/// counters), from a [`SolverStats::diff`] and a [`TheoryStats::diff`]
+/// around the call.
+fn count_solver_work(obs: &Obs, delta: &SolverStats, theory: &TheoryStats) {
     obs.count("solver.decisions", delta.decisions);
     obs.count("solver.propagations", delta.propagations);
     obs.count("solver.conflicts", delta.conflicts);
     obs.count("solver.theory_conflicts", delta.theory_conflicts);
+    obs.count("solver.theory_asserts", theory.asserts);
+    obs.count("solver.theory_searches", theory.searches);
+    obs.count("solver.theory_nodes_visited", theory.nodes_visited);
     obs.count("solver.restarts", delta.restarts);
     obs.count("solver.deleted_clauses", delta.deleted_clauses);
     obs.count("pp.rounds", delta.pp_rounds);
@@ -653,6 +669,10 @@ mod tests {
         assert!(metrics.counter("encode.variables") > 0);
         assert!(metrics.counter("encode.clauses") > 0);
         assert!(metrics.counter("solver.propagations") > 0);
+        assert!(metrics.counter("solver.theory_asserts") > 0);
+        assert!(
+            metrics.counter("solver.theory_searches") <= metrics.counter("solver.theory_asserts")
+        );
         assert!(metrics.counter("pp.rounds") > 0);
     }
 

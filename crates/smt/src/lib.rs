@@ -18,6 +18,29 @@
 //! finite-domain variables ([`FdVar`]), and order atoms over [`OrderNode`]s
 //! backed by an incremental cycle-detection theory.
 //!
+//! # The order theory
+//!
+//! Each true `x < y` atom is an edge `x → y` of a graph the theory keeps
+//! acyclic. Asserting an atom whose reverse path `y ⇝ x` exists is a
+//! conflict; the clause is the negation of the new atom and of the atoms
+//! along the path a depth-first search finds. Two invariants keep this cheap
+//! without changing any answer:
+//!
+//! * **Topological order.** The theory maintains a topological order of the
+//!   asserted edges (Pearce & Kelly's dynamic topological sort). An edge
+//!   that agrees with the order cannot close a cycle and needs no search;
+//!   one that disagrees is searched for and, if acyclic, the order is
+//!   repaired over the affected region only. Backtracking removes edges,
+//!   which never invalidates the order.
+//! * **Path-preserving pruning.** The search for `y ⇝ x` skips nodes ordered
+//!   after `x`, which cannot reach `x`. Skipping them leaves the path the
+//!   search returns — and therefore the conflict clause, and the whole CDCL
+//!   search after it — exactly as without pruning.
+//!
+//! The searches reuse theory-owned buffers, so the hot path allocates only
+//! the conflict clauses it returns. [`SmtSolver::theory_stats`] counts the
+//! work ([`TheoryStats`]).
+//!
 //! # Polarity restriction on order atoms
 //!
 //! The theory ignores *negated* order atoms (`¬(x < y)` places no constraint).
@@ -59,5 +82,5 @@ pub use isopredict_sat::{
 };
 pub use order::OrderNode;
 pub use solver::{SmtResult, SmtSolver};
-pub use stats::EncodingStats;
+pub use stats::{EncodingStats, TheoryStats};
 pub use term::{Term, TermId};

@@ -9,7 +9,7 @@ use isopredict_sat::{
 
 use crate::fd::{FdVar, FdVarData};
 use crate::order::{topological_positions, OrderNode, OrderTheory};
-use crate::stats::EncodingStats;
+use crate::stats::{EncodingStats, TheoryStats};
 use crate::term::{Term, TermId, TermPool};
 
 /// Result of an [`SmtSolver::check`] call.
@@ -460,6 +460,14 @@ impl SmtSolver {
     #[must_use]
     pub fn solver_stats(&self) -> SolverStats {
         self.sat.stats().snapshot()
+    }
+
+    /// Cumulative work counters of the strict-order theory (see
+    /// [`TheoryStats`]); diff two snapshots for per-call figures, as with
+    /// [`SmtSolver::solver_stats`].
+    #[must_use]
+    pub fn theory_stats(&self) -> TheoryStats {
+        self.theory.stats()
     }
 
     fn lookup_interned(&self, term: &Term) -> Option<&TermId> {

@@ -29,6 +29,33 @@ impl std::fmt::Display for EncodingStats {
     }
 }
 
+/// Work counters of the strict-order theory, cumulative over a solver's
+/// lifetime like [`crate::SolverStats`]; per-call figures are
+/// `smt.theory_stats().diff(&before)`. They are a deterministic function of
+/// the search, so they repeat exactly run to run.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct TheoryStats {
+    /// Positive order atoms asserted to the theory.
+    pub asserts: u64,
+    /// Forward cycle searches run (assertions whose edge runs against the
+    /// theory's topological order).
+    pub searches: u64,
+    /// Nodes popped by the forward and backward graph searches.
+    pub nodes_visited: u64,
+}
+
+impl TheoryStats {
+    /// The change since an `earlier` snapshot of the same solver (saturating).
+    #[must_use]
+    pub fn diff(&self, earlier: &TheoryStats) -> TheoryStats {
+        TheoryStats {
+            asserts: self.asserts.saturating_sub(earlier.asserts),
+            searches: self.searches.saturating_sub(earlier.searches),
+            nodes_visited: self.nodes_visited.saturating_sub(earlier.nodes_visited),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
