@@ -287,8 +287,9 @@ impl Predictor {
             let solve_start = Instant::now();
             let solve_span = obs.span("solve");
             if self.config.preprocess {
-                // Re-preprocessing after each blocking clause is a no-op
-                // unless the clause actually changed the formula.
+                // Every blocking clause marks the formula dirty, so each
+                // candidate re-runs the whole pipeline over the whole
+                // formula (163 calls on the exact-cegar benchmark).
                 let pp_span = solve_span.obs().span("preprocess");
                 encoder.smt.preprocess();
                 pp_span.finish();
@@ -477,6 +478,8 @@ fn count_solver_work(obs: &Obs, delta: &SolverStats, theory: &TheoryStats) {
     obs.count("pp.resolvents", delta.pp_resolvents);
     obs.count("pp.probes", delta.pp_probes);
     obs.count("pp.restored", delta.pp_restored);
+    obs.count("pp.probe_visits", delta.pp_probe_visits);
+    obs.count("pp.subsume_checks", delta.pp_subsume_checks);
 }
 
 /// Convenience: `TxnId` list rendering for diagnostics.

@@ -12,23 +12,56 @@
 //! solved twice, with preprocessing on and off, the two verdicts must agree,
 //! and any model must satisfy every original clause. Exit status is nonzero
 //! on a parse error or a failed check, which makes the flag suitable for CI
-//! over golden fixtures.
+//! over golden fixtures. An unknown `--` option or a missing file prints the
+//! usage line and exits with status 2.
 
 use std::process::ExitCode;
 
 use isopredict_sat::{parse_dimacs, Lit, SolveOutcome, Solver, SolverConfig};
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let check = args.iter().any(|a| a == "--check");
-    let files: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-    if files.is_empty() {
-        eprintln!("usage: sat_analyze [--check] FILE...");
-        return ExitCode::FAILURE;
+const USAGE: &str = "usage: sat_analyze [--check] FILE...";
+
+/// The parsed command line.
+#[derive(Debug, PartialEq, Eq)]
+struct Args {
+    check: bool,
+    files: Vec<String>,
+}
+
+/// Parses the arguments after the program name. Rejects any `--` option
+/// other than `--check`, so a misspelt flag cannot silently fall back to
+/// report mode, and requires at least one file.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut parsed = Args {
+        check: false,
+        files: Vec::new(),
+    };
+    for arg in args {
+        if arg == "--check" {
+            parsed.check = true;
+        } else if arg.starts_with("--") {
+            return Err(format!("unknown option {arg}"));
+        } else {
+            parsed.files.push(arg);
+        }
     }
+    if parsed.files.is_empty() {
+        return Err("no input files".to_string());
+    }
+    Ok(parsed)
+}
+
+fn main() -> ExitCode {
+    let Args { check, files } = match parse_args(std::env::args().skip(1)) {
+        Ok(args) => args,
+        Err(error) => {
+            eprintln!("sat_analyze: {error}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
 
     let mut failed = false;
-    for path in files {
+    for path in &files {
         let text = match std::fs::read_to_string(path) {
             Ok(text) => text,
             Err(error) => {
@@ -124,4 +157,43 @@ fn run_check(path: &str, num_vars: usize, clauses: &[Vec<Lit>]) -> bool {
         clauses.len()
     );
     true
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn accepts_check_and_files() {
+        assert_eq!(
+            parse(&["--check", "a.cnf", "b.cnf"]),
+            Ok(Args {
+                check: true,
+                files: vec!["a.cnf".to_string(), "b.cnf".to_string()],
+            })
+        );
+        assert_eq!(
+            parse(&["a.cnf"]),
+            Ok(Args {
+                check: false,
+                files: vec!["a.cnf".to_string()],
+            })
+        );
+    }
+
+    #[test]
+    fn rejects_unknown_option() {
+        let error = parse(&["--chek", "a.cnf"]).unwrap_err();
+        assert!(error.contains("--chek"), "{error}");
+    }
+
+    #[test]
+    fn rejects_missing_files() {
+        assert!(parse(&["--check"]).is_err());
+        assert!(parse(&[]).is_err());
+    }
 }

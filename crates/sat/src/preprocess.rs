@@ -231,11 +231,25 @@ enum SimpOp {
 /// codes in ascending order.
 fn big_sccs(num_vars: usize, binary: &[[Lit; 2]]) -> Vec<Vec<Lit>> {
     let n = 2 * num_vars;
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
+    // Adjacency in compressed rows: the successors of `node` are
+    // `targets[start[node]..start[node + 1]]`, in clause order.
+    let mut start = vec![0usize; n + 1];
     for &[a, b] in binary {
-        adj[a.negate().code()].push(b.code() as u32);
-        adj[b.negate().code()].push(a.code() as u32);
+        start[a.negate().code() + 1] += 1;
+        start[b.negate().code() + 1] += 1;
     }
+    for i in 0..n {
+        start[i + 1] += start[i];
+    }
+    let mut fill = start.clone();
+    let mut targets = vec![0u32; start[n]];
+    for &[a, b] in binary {
+        for (from, to) in [(a.negate(), b), (b.negate(), a)] {
+            targets[fill[from.code()]] = to.code() as u32;
+            fill[from.code()] += 1;
+        }
+    }
+    let adj = |node: u32| &targets[start[node as usize]..start[node as usize + 1]];
 
     const UNDEF: u32 = u32::MAX;
     let mut index = vec![UNDEF; n];
@@ -259,8 +273,8 @@ fn big_sccs(num_vars: usize, binary: &[[Lit; 2]]) -> Vec<Vec<Lit>> {
         on_stack[root as usize] = true;
 
         while let Some(&mut (node, ref mut cursor)) = frames.last_mut() {
-            if *cursor < adj[node as usize].len() {
-                let succ = adj[node as usize][*cursor];
+            if *cursor < adj(node).len() {
+                let succ = adj(node)[*cursor];
                 *cursor += 1;
                 if index[succ as usize] == UNDEF {
                     frames.push((succ, 0));
@@ -298,6 +312,180 @@ fn big_sccs(num_vars: usize, binary: &[[Lit; 2]]) -> Vec<Vec<Lit>> {
     sccs
 }
 
+/// The value of `lit` under the per-variable assignment `fixed`.
+fn lit_value(fixed: &[LBool], lit: Lit) -> LBool {
+    let v = fixed[lit.var().index()];
+    if lit.is_negative() {
+        v.negate()
+    } else {
+        v
+    }
+}
+
+/// A watch on one literal of a working clause: `blocker` is another literal
+/// of the clause that, if true, satisfies it without a look at the clause.
+/// For a binary clause it is always the other literal.
+#[derive(Clone, Copy)]
+struct ProbeWatch {
+    clause: u32,
+    blocker: Lit,
+}
+
+/// Two-watched-literal index over the simplifier's working clauses, used by
+/// failed-literal probing and scoped to one probing pass.
+///
+/// The watched positions live in `pos` instead of being swapped to the
+/// front, because the literal order of the working clauses is part of the
+/// simplifier's output (it seeds the solver's watch setup). Every probe
+/// starts from the top-level assignment, under which no literal of a
+/// working clause is assigned, so watches never need repair after the
+/// probe's assignment is undone.
+#[derive(Default)]
+struct ProbeWatches {
+    /// `lists[l.code()]`: watches on clauses with `l` at a watched position.
+    lists: Vec<Vec<ProbeWatch>>,
+    /// Positions of the two watched literals, per clause slot.
+    pos: Vec<[u32; 2]>,
+    /// The probe's assignments in order; also its propagation queue.
+    trail: Vec<Lit>,
+    /// `implied[l.code()] == epoch`: `l` was assigned by a probe that ended
+    /// without conflict since the lists were last built.
+    implied: Vec<u32>,
+    epoch: u32,
+    /// The lists match the working clauses (cleared when those change).
+    valid: bool,
+    /// Watch-list entries visited so far.
+    visits: u64,
+}
+
+impl ProbeWatches {
+    /// Watches the first two literals of every live clause.
+    fn build(&mut self, clauses: &[Option<Vec<Lit>>], fixed: &[LBool]) {
+        self.lists.resize_with(2 * fixed.len(), Vec::new);
+        for list in &mut self.lists {
+            list.clear();
+        }
+        self.pos.clear();
+        self.pos.resize(clauses.len(), [0, 1]);
+        self.implied.resize(2 * fixed.len(), 0);
+        self.epoch += 1;
+        for (ci, lits) in clauses.iter().enumerate() {
+            let Some(lits) = lits else { continue };
+            debug_assert!(lits.iter().all(|&l| lit_value(fixed, l) == LBool::Undef));
+            let clause = ci as u32;
+            self.lists[lits[0].code()].push(ProbeWatch {
+                clause,
+                blocker: lits[1],
+            });
+            self.lists[lits[1].code()].push(ProbeWatch {
+                clause,
+                blocker: lits[0],
+            });
+        }
+        self.valid = true;
+    }
+
+    /// Assumes `start`, unit-propagates over `clauses` without modifying
+    /// them, and returns `true` on conflict. `fixed` is restored before
+    /// returning. Unit propagation is confluent, so whether a conflict is
+    /// reached does not depend on the order in which clauses are visited.
+    ///
+    /// A literal assigned by an earlier conflict-free probe over the same
+    /// clauses cannot fail: its propagation closure is part of that probe's,
+    /// which held no falsified clause. Such probes return at once.
+    fn probe(&mut self, clauses: &[Option<Vec<Lit>>], fixed: &mut [LBool], start: Lit) -> bool {
+        debug_assert_eq!(lit_value(fixed, start), LBool::Undef);
+        if self.implied[start.code()] == self.epoch {
+            return false;
+        }
+        let assign = |fixed: &mut [LBool], lit: Lit| {
+            fixed[lit.var().index()] = LBool::from_bool(lit.is_positive());
+        };
+        self.trail.clear();
+        self.trail.push(start);
+        assign(fixed, start);
+        let mut head = 0;
+        let mut conflict = false;
+
+        while head < self.trail.len() && !conflict {
+            let false_lit = self.trail[head].negate();
+            head += 1;
+            let mut list = std::mem::take(&mut self.lists[false_lit.code()]);
+            let mut kept = 0;
+            let mut i = 0;
+            while i < list.len() {
+                let watch = list[i];
+                i += 1;
+                self.visits += 1;
+                if lit_value(fixed, watch.blocker) == LBool::True {
+                    list[kept] = watch;
+                    kept += 1;
+                    continue;
+                }
+                let lits = clauses[watch.clause as usize]
+                    .as_deref()
+                    .expect("watched clauses are live");
+                let other = if lits.len() == 2 {
+                    watch.blocker
+                } else {
+                    let pos = &mut self.pos[watch.clause as usize];
+                    let slot = usize::from(lits[pos[0] as usize] != false_lit);
+                    let other = lits[pos[1 - slot] as usize];
+                    if lit_value(fixed, other) == LBool::True {
+                        list[kept] = ProbeWatch {
+                            blocker: other,
+                            ..watch
+                        };
+                        kept += 1;
+                        continue;
+                    }
+                    let replacement = (0..lits.len()).find(|&k| {
+                        k as u32 != pos[0]
+                            && k as u32 != pos[1]
+                            && lit_value(fixed, lits[k]) != LBool::False
+                    });
+                    if let Some(k) = replacement {
+                        pos[slot] = k as u32;
+                        self.lists[lits[k].code()].push(ProbeWatch {
+                            blocker: other,
+                            ..watch
+                        });
+                        continue;
+                    }
+                    other
+                };
+                // Every other literal is false: the clause is unit or falsified.
+                list[kept] = watch;
+                kept += 1;
+                match lit_value(fixed, other) {
+                    LBool::True => {}
+                    LBool::False => {
+                        conflict = true;
+                        break;
+                    }
+                    LBool::Undef => {
+                        assign(fixed, other);
+                        self.trail.push(other);
+                    }
+                }
+            }
+            // Keep the entries not visited after a conflict.
+            let unvisited = list.len() - i;
+            list.copy_within(i.., kept);
+            list.truncate(kept + unvisited);
+            self.lists[false_lit.code()] = list;
+        }
+
+        for lit in &self.trail {
+            fixed[lit.var().index()] = LBool::Undef;
+            if !conflict {
+                self.implied[lit.code()] = self.epoch;
+            }
+        }
+        conflict
+    }
+}
+
 /// Occurrence-indexed clause simplifier working on an extracted copy of the
 /// problem clauses. Builds up a list of [`SimpOp`]s plus newly fixed literals
 /// that the solver applies afterwards.
@@ -316,7 +504,7 @@ struct Simplifier {
     sigs: Vec<u64>,
     /// `occ[l.code()]` ⊇ indices of live clauses containing `l` (entries may
     /// be stale; consumers re-validate).
-    occ: Vec<Vec<usize>>,
+    occ: Vec<Vec<u32>>,
     fixed: Vec<LBool>,
     frozen: Vec<bool>,
     active: Vec<bool>,
@@ -330,6 +518,11 @@ struct Simplifier {
     summary: PreprocessSummary,
     unsat: bool,
     probes_used: usize,
+    /// Watch-list entries visited by probing (`SolverStats::pp_probe_visits`).
+    probe_visits: u64,
+    /// Candidate clauses scanned by subsumption and strengthening, i.e.
+    /// past the size and signature filters (`SolverStats::pp_subsume_checks`).
+    subsume_checks: u64,
 }
 
 impl Simplifier {
@@ -359,6 +552,8 @@ impl Simplifier {
             summary: PreprocessSummary::default(),
             unsat: false,
             probes_used: 0,
+            probe_visits: 0,
+            subsume_checks: 0,
         };
         for (lits, family, mask) in originals {
             simp.ingest(lits, family, mask);
@@ -373,15 +568,11 @@ impl Simplifier {
 
     /// Normalizes `lits` against the fixed map and stores the clause (or
     /// enqueues it as a unit / flags unsatisfiability).
-    fn ingest(&mut self, lits: Vec<Lit>, family: u16, mask: u32) {
-        let mut simplified: Vec<Lit> = Vec::with_capacity(lits.len());
-        for lit in lits {
-            match self.value(lit) {
-                LBool::True => return,
-                LBool::False => {}
-                LBool::Undef => simplified.push(lit),
-            }
+    fn ingest(&mut self, mut simplified: Vec<Lit>, family: u16, mask: u32) {
+        if simplified.iter().any(|&l| self.value(l) == LBool::True) {
+            return;
         }
+        simplified.retain(|&l| self.value(l) == LBool::Undef);
         simplified.sort_unstable();
         simplified.dedup();
         for w in simplified.windows(2) {
@@ -403,7 +594,7 @@ impl Simplifier {
         self.sigs.push(Self::sig_of(&lits));
         self.meta.push((family, mask));
         for &l in &lits {
-            self.occ[l.code()].push(ci);
+            self.occ[l.code()].push(ci as u32);
         }
         self.clauses.push(Some(lits));
         ci
@@ -414,12 +605,7 @@ impl Simplifier {
     }
 
     fn value(&self, lit: Lit) -> LBool {
-        let v = self.fixed[lit.var().index()];
-        if lit.is_negative() {
-            v.negate()
-        } else {
-            v
-        }
+        lit_value(&self.fixed, lit)
     }
 
     fn contains(&self, ci: usize, lit: Lit) -> bool {
@@ -461,6 +647,7 @@ impl Simplifier {
 
             let satisfied = std::mem::take(&mut self.occ[lit.code()]);
             for ci in satisfied {
+                let ci = ci as usize;
                 if self.contains(ci, lit) {
                     self.remove_clause(ci);
                 }
@@ -468,6 +655,7 @@ impl Simplifier {
             let neg = lit.negate();
             let falsified = std::mem::take(&mut self.occ[neg.code()]);
             for ci in falsified {
+                let ci = ci as usize;
                 if !self.contains(ci, neg) {
                     continue;
                 }
@@ -552,6 +740,7 @@ impl Simplifier {
             let lit = Lit::from_code(code as u32);
             let occurrences = std::mem::take(&mut self.occ[code]);
             for ci in occurrences {
+                let ci = ci as usize;
                 if !self.contains(ci, lit) {
                     continue;
                 }
@@ -601,7 +790,7 @@ impl Simplifier {
                         self.sigs[ci] = Self::sig_of(&simplified);
                         for &l in &simplified {
                             if l.var() == image.var() {
-                                self.occ[l.code()].push(ci);
+                                self.occ[l.code()].push(ci as u32);
                             }
                         }
                         self.clauses[ci] = Some(simplified);
@@ -612,15 +801,30 @@ impl Simplifier {
     }
 
     /// Subsumption and (optionally) self-subsuming resolution.
+    ///
+    /// C's literals are stamped into a per-literal mark array, so each
+    /// candidate D is decided by one scan of D: clauses hold no duplicate
+    /// literals, hence `C ⊆ D` iff D has `|C|` marked literals. The pass
+    /// only removes or shortens clauses and never adds to `occ`, so each
+    /// occurrence list is moved out for its scan and put back unchanged.
     fn subsumption_pass(&mut self) -> bool {
         let mut changed = false;
+        let mut mark = vec![0u32; 2 * self.num_vars];
+        let mut epoch = 0u32;
+        let mut c: Vec<Lit> = Vec::new();
         for ci in 0..self.clauses.len() {
             if self.unsat {
                 return changed;
             }
-            let Some(c) = self.clauses[ci].clone() else {
+            let Some(lits) = &self.clauses[ci] else {
                 continue;
             };
+            c.clear();
+            c.extend_from_slice(lits);
+            epoch += 1;
+            for &l in &c {
+                mark[l.code()] = epoch;
+            }
             let c_sig = self.sigs[ci];
             // Scan the occurrence list of the least-frequent literal of C.
             let best = c
@@ -628,21 +832,26 @@ impl Simplifier {
                 .copied()
                 .min_by_key(|l| self.occ[l.code()].len())
                 .expect("live clauses are non-empty");
-            let candidates = self.occ[best.code()].clone();
-            for dj in candidates {
-                if dj == ci || !self.contains(dj, best) {
+            let candidates = std::mem::take(&mut self.occ[best.code()]);
+            for &dj in &candidates {
+                let dj = dj as usize;
+                if dj == ci || c_sig & !self.sigs[dj] != 0 {
                     continue;
                 }
-                let d = self.clauses[dj].as_ref().expect("validated live");
-                if d.len() < c.len() || c_sig & !self.sigs[dj] != 0 {
+                let Some(d) = &self.clauses[dj] else {
+                    continue;
+                };
+                if d.len() < c.len() {
                     continue;
                 }
-                if c.iter().all(|l| d.contains(l)) {
+                self.subsume_checks += 1;
+                if d.iter().filter(|l| mark[l.code()] == epoch).count() == c.len() {
                     self.remove_clause(dj);
                     self.summary.subsumed += 1;
                     changed = true;
                 }
             }
+            self.occ[best.code()] = candidates;
             if !self.cfg.strengthen {
                 continue;
             }
@@ -654,16 +863,29 @@ impl Simplifier {
                     break; // C itself got strengthened away meanwhile
                 }
                 let neg = l.negate();
-                let candidates = self.occ[neg.code()].clone();
-                for dj in candidates {
-                    if dj == ci || !self.contains(dj, neg) {
+                let candidates = std::mem::take(&mut self.occ[neg.code()]);
+                for &dj in &candidates {
+                    let dj = dj as usize;
+                    if dj == ci || c_sig & !self.sigs[dj] != 0 {
                         continue;
                     }
-                    let d = self.clauses[dj].as_ref().expect("validated live");
-                    if d.len() < c.len() || c_sig & !self.sigs[dj] != 0 {
+                    let Some(d) = &self.clauses[dj] else {
+                        continue;
+                    };
+                    if d.len() < c.len() {
                         continue;
                     }
-                    if !c.iter().all(|&m| m == l || d.contains(&m)) {
+                    self.subsume_checks += 1;
+                    let mut has_neg = false;
+                    let mut shared = 0;
+                    for &m in d {
+                        if m == neg {
+                            has_neg = true;
+                        } else if m != l && mark[m.code()] == epoch {
+                            shared += 1;
+                        }
+                    }
+                    if !has_neg || shared + 1 != c.len() {
                         continue;
                     }
                     let lits = self.clauses[dj].as_mut().expect("validated live");
@@ -680,6 +902,7 @@ impl Simplifier {
                         self.enqueue_fix(unit);
                     }
                 }
+                self.occ[neg.code()] = candidates;
             }
         }
         changed
@@ -698,6 +921,8 @@ impl Simplifier {
                 }
             }
         }
+        // Built at the first probe and dropped with the pass.
+        let mut watches = ProbeWatches::default();
         let mut changed = false;
         for (v, &var_in_binary) in in_binary.iter().enumerate() {
             if self.unsat || self.probes_used >= self.cfg.probe_limit {
@@ -713,82 +938,23 @@ impl Simplifier {
                 }
                 self.probes_used += 1;
                 self.summary.probes += 1;
-                if self.probe(lit) {
+                if !watches.valid {
+                    watches.build(&self.clauses, &self.fixed);
+                }
+                if watches.probe(&self.clauses, &mut self.fixed, lit) {
                     self.enqueue_fix(lit.negate());
                     self.propagate_fixed();
+                    // `propagate_fixed` rewrote clauses under the watches.
+                    watches.valid = false;
                     changed = true;
                     if self.unsat {
-                        return true;
+                        break;
                     }
                 }
             }
         }
+        self.probe_visits += watches.visits;
         changed
-    }
-
-    /// Assumes `start` and unit-propagates over the working clauses without
-    /// modifying them. Returns `true` on conflict. The `fixed` map is
-    /// restored before returning.
-    fn probe(&mut self, start: Lit) -> bool {
-        debug_assert_eq!(self.value(start), LBool::Undef);
-        let mut trail: Vec<Var> = Vec::new();
-        let mut queue: Vec<Lit> = vec![start];
-        self.fixed[start.var().index()] = LBool::from_bool(start.is_positive());
-        trail.push(start.var());
-        let mut head = 0;
-        let mut conflict = false;
-
-        'outer: while head < queue.len() {
-            let p = queue[head];
-            head += 1;
-            let watch = p.negate().code();
-            let mut k = 0;
-            while k < self.occ[watch].len() {
-                let ci = self.occ[watch][k];
-                k += 1;
-                if !self.contains(ci, p.negate()) {
-                    continue;
-                }
-                let lits = self.clauses[ci].as_ref().expect("validated live");
-                let mut unassigned: Option<Lit> = None;
-                let mut num_unassigned = 0;
-                let mut satisfied = false;
-                for &l in lits {
-                    match self.value(l) {
-                        LBool::True => {
-                            satisfied = true;
-                            break;
-                        }
-                        LBool::Undef => {
-                            num_unassigned += 1;
-                            unassigned = Some(l);
-                        }
-                        LBool::False => {}
-                    }
-                }
-                if satisfied {
-                    continue;
-                }
-                match num_unassigned {
-                    0 => {
-                        conflict = true;
-                        break 'outer;
-                    }
-                    1 => {
-                        let l = unassigned.expect("counted one unassigned literal");
-                        self.fixed[l.var().index()] = LBool::from_bool(l.is_positive());
-                        trail.push(l.var());
-                        queue.push(l);
-                    }
-                    _ => {}
-                }
-            }
-        }
-
-        for var in trail {
-            self.fixed[var.index()] = LBool::Undef;
-        }
-        conflict
     }
 
     /// Bounded variable elimination (pure literals are the zero-resolvent
@@ -801,11 +967,31 @@ impl Simplifier {
         for (ci, lits) in self.clauses.iter().enumerate() {
             if let Some(lits) = lits {
                 for &l in lits {
-                    self.occ[l.code()].push(ci);
+                    self.occ[l.code()].push(ci as u32);
                 }
             }
         }
 
+        // Within this pass every occurrence list stays ascending and free of
+        // duplicates: it was just rebuilt in slot order, new resolvents take
+        // the highest slot, and `propagate_fixed` only empties lists.
+        let limit = self.cfg.bve_occurrence_limit;
+        let gather = |simp: &Simplifier, lit: Lit, list: &mut Vec<usize>| -> bool {
+            list.clear();
+            for &ci in &simp.occ[lit.code()] {
+                let ci = ci as usize;
+                if simp.contains(ci, lit) {
+                    if list.len() == limit {
+                        return false;
+                    }
+                    list.push(ci);
+                }
+            }
+            debug_assert!(list.windows(2).all(|w| w[0] < w[1]));
+            true
+        };
+        let mut pos_list: Vec<usize> = Vec::new();
+        let mut neg_list: Vec<usize> = Vec::new();
         let mut changed = false;
         for v in 0..self.num_vars {
             if self.unsat {
@@ -823,24 +1009,11 @@ impl Simplifier {
             let var = Var::from_index(v as u32);
             let pos = Lit::positive(var);
             let neg = Lit::negative(var);
-            let gather = |simp: &Simplifier, lit: Lit| -> Vec<usize> {
-                let mut list: Vec<usize> = simp.occ[lit.code()]
-                    .iter()
-                    .copied()
-                    .filter(|&ci| simp.contains(ci, lit))
-                    .collect();
-                list.sort_unstable();
-                list.dedup();
-                list
-            };
-            let pos_list = gather(self, pos);
-            let neg_list = gather(self, neg);
+            if !gather(self, pos, &mut pos_list) || !gather(self, neg, &mut neg_list) {
+                continue; // over the occurrence limit
+            }
             if pos_list.is_empty() && neg_list.is_empty() {
                 continue; // unconstrained; nothing to gain
-            }
-            let limit = self.cfg.bve_occurrence_limit;
-            if pos_list.len() > limit || neg_list.len() > limit {
-                continue;
             }
 
             // Generate non-tautological resolvents; bail out if elimination
@@ -1144,6 +1317,8 @@ impl Solver {
             originals,
         );
         simp.run();
+        self.stats.pp_probe_visits += simp.probe_visits;
+        self.stats.pp_subsume_checks += simp.subsume_checks;
 
         summary.rounds = simp.summary.rounds;
         summary.fixed = simp.summary.fixed;
@@ -1591,6 +1766,349 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// FNV-1a (64-bit) accumulator for [`golden_identity`].
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn u64(&mut self, x: u64) {
+            for b in x.to_le_bytes() {
+                self.0 ^= u64::from(b);
+                self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+
+        fn lits(&mut self, lits: &[Lit]) {
+            self.u64(lits.len() as u64);
+            for l in lits {
+                self.u64(l.code() as u64);
+            }
+        }
+    }
+
+    /// Hashes everything `preprocess` leaves behind: the summary, the clause
+    /// database in slot order (literal order, family, mask), the elimination
+    /// stack, per-variable state, stored restoration clauses and the
+    /// top-level trail.
+    fn digest_state(h: &mut Fnv, solver: &Solver, summary: &PreprocessSummary) {
+        for x in [
+            summary.rounds,
+            summary.fixed,
+            summary.equivalences,
+            summary.subsumed,
+            summary.strengthened,
+            summary.eliminated,
+            summary.resolvents,
+            summary.probes,
+            summary.clauses_before,
+            summary.clauses_after,
+            summary.literals_before,
+            summary.literals_after,
+            u64::from(summary.unsat),
+            u64::from(solver.ok),
+        ] {
+            h.u64(x);
+        }
+        h.u64(solver.db.clauses.len() as u64);
+        for c in &solver.db.clauses {
+            h.u64(u64::from(c.deleted) | u64::from(c.learnt) << 1);
+            h.lits(&c.lits);
+            h.u64(u64::from(c.family));
+            h.u64(u64::from(c.mask));
+            h.u64(u64::from(c.lbd));
+            h.u64(c.activity.to_bits());
+        }
+        h.u64(solver.elim_stack.len() as u64);
+        for e in &solver.elim_stack {
+            h.u64(e.pivot.code() as u64);
+            h.lits(&e.clause);
+        }
+        for v in 0..solver.num_vars() {
+            h.u64(match solver.var_state[v] {
+                VarState::Active => 0,
+                VarState::Substituted => 1,
+                VarState::Eliminated => 2,
+            });
+            h.u64(solver.subst[v].code() as u64);
+            h.u64(solver.restore_clauses[v].len() as u64);
+            for r in &solver.restore_clauses[v] {
+                h.lits(&r.lits);
+                h.u64(u64::from(r.family));
+                h.u64(u64::from(r.mask));
+            }
+        }
+        h.lits(&solver.assignment.trail);
+    }
+
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// A seeded random CNF instance for [`golden_identity`].
+    struct Instance {
+        num_vars: usize,
+        frozen: Vec<usize>,
+        /// Clauses before index `split` are tagged with one family, the rest
+        /// with another, so provenance masks get merged by the passes.
+        split: usize,
+        clauses: Vec<Vec<Lit>>,
+    }
+
+    /// 100–400 variables; binary, ternary and long random clauses plus
+    /// planted structure: supersets of earlier clauses (subsumption), copies
+    /// with one literal flipped plus one extra (strengthening), failed-literal
+    /// gadgets `a → b, a → c, ¬b ∨ ¬c`, and equivalent pairs. About one
+    /// variable in eight is frozen. No unit clauses.
+    fn random_instance(seed: u64) -> Instance {
+        let mut rng = XorShift(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+        for _ in 0..4 {
+            rng.next();
+        }
+        let num_vars = 100 + rng.below(301);
+        let lit = |rng: &mut XorShift, var: usize| {
+            Lit::new(Var::from_index(var as u32), rng.next() & 1 == 0)
+        };
+        let random_clause = |rng: &mut XorShift, len: usize| -> Vec<Lit> {
+            let mut vars: Vec<usize> = Vec::with_capacity(len);
+            while vars.len() < len {
+                let v = rng.below(num_vars);
+                if !vars.contains(&v) {
+                    vars.push(v);
+                }
+            }
+            vars.into_iter().map(|v| lit(rng, v)).collect()
+        };
+        let mut clauses: Vec<Vec<Lit>> = Vec::new();
+        let binaries = num_vars * (3 + rng.below(6)) / 10;
+        let ternaries = num_vars * (5 + rng.below(11)) / 10;
+        let longs = num_vars / 10;
+        for _ in 0..binaries {
+            clauses.push(random_clause(&mut rng, 2));
+        }
+        for _ in 0..ternaries {
+            clauses.push(random_clause(&mut rng, 3));
+        }
+        for _ in 0..longs {
+            let len = 4 + rng.below(5);
+            clauses.push(random_clause(&mut rng, len));
+        }
+        let extend = |rng: &mut XorShift, clause: &mut Vec<Lit>| loop {
+            let v = rng.below(num_vars);
+            if clause.iter().all(|l| l.var().index() != v) {
+                clause.push(lit(rng, v));
+                return;
+            }
+        };
+        for _ in 0..num_vars / 15 {
+            let mut d = clauses[rng.below(clauses.len())].clone();
+            extend(&mut rng, &mut d);
+            clauses.push(d);
+        }
+        for _ in 0..num_vars / 15 {
+            let mut d = clauses[rng.below(clauses.len())].clone();
+            let at = rng.below(d.len());
+            d[at] = d[at].negate();
+            extend(&mut rng, &mut d);
+            clauses.push(d);
+        }
+        for _ in 0..3 {
+            let abc = random_clause(&mut rng, 3);
+            let (a, b, c) = (abc[0], abc[1], abc[2]);
+            clauses.push(vec![a.negate(), b]);
+            clauses.push(vec![a.negate(), c]);
+            clauses.push(vec![b.negate(), c.negate()]);
+        }
+        for _ in 0..2 {
+            let ab = random_clause(&mut rng, 2);
+            clauses.push(vec![ab[0].negate(), ab[1]]);
+            clauses.push(vec![ab[1].negate(), ab[0]]);
+        }
+        // Interleave the planted clauses with the random ones.
+        for i in (1..clauses.len()).rev() {
+            let j = rng.below(i + 1);
+            clauses.swap(i, j);
+        }
+        let frozen = (0..num_vars).filter(|_| rng.below(8) == 0).collect();
+        let split = clauses.len() / 2;
+        Instance {
+            num_vars,
+            frozen,
+            split,
+            clauses,
+        }
+    }
+
+    fn load_instance(inst: &Instance, config: PreprocessConfig) -> Solver {
+        let mut solver = Solver::with_config(SolverConfig {
+            preprocess: config,
+            ..SolverConfig::default()
+        });
+        let vs = vars(&mut solver, inst.num_vars);
+        for &v in &inst.frozen {
+            solver.freeze_var(vs[v]);
+        }
+        let first = solver.intern_family("first");
+        let second = solver.intern_family("second");
+        for (i, clause) in inst.clauses.iter().enumerate() {
+            solver.set_emit_family(if i < inst.split { first } else { second });
+            solver.add_clause(clause.iter().copied());
+        }
+        solver
+    }
+
+    /// Digests, per instance, recorded from the simplifier before its
+    /// probing and subsumption passes were rewritten around watched literals
+    /// and literal marks. Any change in what the simplifier outputs (clause
+    /// order, literal order, provenance, elimination stack, fixed literals,
+    /// summary) changes a digest; the rewrite must leave every one intact.
+    const GOLDEN: &[(&str, u64)] = &[
+        ("golden_sat", 0x895e434c1fcec5b2),
+        ("php_4_3", 0x9881ae9780b2b882),
+        ("random_1", 0x862268c573ec1c97),
+        ("random_2", 0x09e8a7b6822755eb),
+        ("random_3", 0x0b78a008d7181d84),
+        ("random_4", 0xc5b5575744566137),
+        ("random_5", 0xb17ec1a3c2c877df),
+        ("random_6", 0xe50bd9f7f92cf75a),
+        ("random_7", 0x5acb1cada93afd66),
+        ("random_8", 0x4e8148da11d3bfc1),
+        ("random_9", 0x61c48e8b3058486b),
+        ("random_10", 0xf824aef630192d95),
+        ("random_11", 0xfe0d193c76253f39),
+        ("random_12", 0xc5484fadf98a5c15),
+        ("random_13", 0xaebebf54c4c5c117),
+        ("random_14", 0x9b8cf4208b846719),
+        ("random_15", 0xd5b76da7b4f74fc0),
+        ("random_16", 0x8557e1fef62876b7),
+        ("random_17", 0x4c59eed544dbf35d),
+        ("random_18", 0x1ee410c1ea886510),
+        ("random_19", 0x1e195c1b1e02b212),
+        ("random_20", 0x95867532f25eeffd),
+        ("cegar_100", 0x2a8c5dfc5d94b527),
+    ];
+
+    #[test]
+    fn golden_identity() {
+        let mut actual: Vec<(String, u64)> = Vec::new();
+        let mut probe_fixed = 0;
+        let mut strengthened = 0;
+        let mut subsumed = 0;
+        let mut eliminated = 0;
+        let mut equivalences = 0;
+        let mut restored = 0;
+
+        for (name, text) in [
+            (
+                "golden_sat",
+                include_str!("../tests/fixtures/golden_sat.cnf"),
+            ),
+            ("php_4_3", include_str!("../tests/fixtures/php_4_3.cnf")),
+        ] {
+            let (num_vars, clauses) = crate::parse_dimacs(text).expect("fixture parses");
+            let inst = Instance {
+                num_vars,
+                frozen: Vec::new(),
+                split: clauses.len() / 2,
+                clauses,
+            };
+            let mut solver = load_instance(&inst, PreprocessConfig::default());
+            let summary = solver.preprocess();
+            let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+            digest_state(&mut h, &solver, &summary);
+            actual.push((name.to_string(), h.0));
+        }
+
+        for seed in 1..=20u64 {
+            let inst = random_instance(seed);
+            let mut config = PreprocessConfig::default();
+            match seed % 7 {
+                3 => config.probe_limit = 40,
+                5 => config.strengthen = false,
+                6 => config.max_rounds = 1,
+                _ => {}
+            }
+            let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+            let mut solver = load_instance(&inst, config);
+            let summary = solver.preprocess();
+            digest_state(&mut h, &solver, &summary);
+            strengthened += summary.strengthened;
+            subsumed += summary.subsumed;
+            eliminated += summary.eliminated;
+            equivalences += summary.equivalences;
+
+            // Probing alone: the instances have no unit clauses, so every
+            // fixed literal here comes from a failed probe.
+            let probe_only = PreprocessConfig {
+                equiv: false,
+                subsumption: false,
+                bve: false,
+                max_rounds: 1,
+                ..PreprocessConfig::default()
+            };
+            let mut solver = load_instance(&inst, probe_only);
+            let summary = solver.preprocess();
+            digest_state(&mut h, &solver, &summary);
+            probe_fixed += summary.fixed;
+            actual.push((format!("random_{seed}"), h.0));
+        }
+
+        // The CEGAR pattern: preprocess, solve, block the model (which
+        // mentions eliminated variables and restores them), preprocess again.
+        let inst = random_instance(100);
+        let mut solver = load_instance(&inst, PreprocessConfig::default());
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        let summary = solver.preprocess();
+        digest_state(&mut h, &solver, &summary);
+        for _ in 0..3 {
+            let outcome = solver.solve();
+            h.u64(outcome as u64);
+            let Some(model) = solver.model().cloned() else {
+                break;
+            };
+            let blocking: Vec<Lit> = (0..40)
+                .map(|v| {
+                    let var = Var::from_index(v);
+                    Lit::new(var, model.value(var))
+                })
+                .collect();
+            solver.add_clause(blocking);
+            let summary = solver.preprocess();
+            digest_state(&mut h, &solver, &summary);
+        }
+        restored += solver.stats().pp_restored;
+        actual.push(("cegar_100".to_string(), h.0));
+
+        let table: String = actual
+            .iter()
+            .map(|(name, digest)| format!("        (\"{name}\", {digest:#018x}),\n"))
+            .collect();
+        let expected: Vec<(String, u64)> = GOLDEN
+            .iter()
+            .map(|&(name, digest)| (name.to_string(), digest))
+            .collect();
+        assert_eq!(
+            actual, expected,
+            "simplifier output changed; digests now:\n{table}"
+        );
+
+        assert!(probe_fixed > 0, "no instance fixed a literal by probing");
+        assert!(strengthened > 0, "no instance strengthened a clause");
+        assert!(subsumed > 0, "no instance subsumed a clause");
+        assert!(eliminated > 0, "no instance eliminated a variable");
+        assert!(equivalences > 0, "no instance substituted an equivalence");
+        assert!(restored > 0, "the CEGAR instance restored no variable");
     }
 
     #[test]

@@ -40,6 +40,13 @@ pub struct SolverStats {
     pub pp_probes: u64,
     /// Eliminated variables restored by incremental clauses (`pp.restored`).
     pub pp_restored: u64,
+    /// Watch-list entries visited by failed-literal probing
+    /// (`pp.probe_visits`).
+    pub pp_probe_visits: u64,
+    /// Candidate clauses scanned by subsumption and self-subsuming
+    /// resolution once past the size and signature filters
+    /// (`pp.subsume_checks`).
+    pub pp_subsume_checks: u64,
 }
 
 impl SolverStats {
@@ -74,6 +81,10 @@ impl SolverStats {
             pp_resolvents: self.pp_resolvents.saturating_sub(earlier.pp_resolvents),
             pp_probes: self.pp_probes.saturating_sub(earlier.pp_probes),
             pp_restored: self.pp_restored.saturating_sub(earlier.pp_restored),
+            pp_probe_visits: self.pp_probe_visits.saturating_sub(earlier.pp_probe_visits),
+            pp_subsume_checks: self
+                .pp_subsume_checks
+                .saturating_sub(earlier.pp_subsume_checks),
         }
     }
 
@@ -90,7 +101,7 @@ impl std::fmt::Display for SolverStats {
         write!(
             f,
             "vars={} clauses={} literals={} decisions={} propagations={} conflicts={} (theory {}) restarts={} deleted={} \
-             pp[rounds={} fixed={} equiv={} subsumed={} strengthened={} eliminated={} resolvents={} probes={} restored={}]",
+             pp[rounds={} fixed={} equiv={} subsumed={} strengthened={} eliminated={} resolvents={} probes={} restored={} probe_visits={} subsume_checks={}]",
             self.variables,
             self.clauses,
             self.literals,
@@ -108,7 +119,9 @@ impl std::fmt::Display for SolverStats {
             self.pp_eliminated,
             self.pp_resolvents,
             self.pp_probes,
-            self.pp_restored
+            self.pp_restored,
+            self.pp_probe_visits,
+            self.pp_subsume_checks
         )
     }
 }
@@ -158,6 +171,8 @@ mod tests {
             clauses: 8,
             literals: 90,
             pp_eliminated: 2,
+            pp_probe_visits: 100,
+            pp_subsume_checks: 40,
             ..SolverStats::default()
         };
         let later = SolverStats {
@@ -171,10 +186,14 @@ mod tests {
             clauses: 10,
             literals: 95,
             pp_eliminated: 5,
+            pp_probe_visits: 130,
+            pp_subsume_checks: 41,
             ..SolverStats::default()
         };
         let delta = later.diff(&earlier);
         assert_eq!(delta.pp_eliminated, 3);
+        assert_eq!(delta.pp_probe_visits, 30);
+        assert_eq!(delta.pp_subsume_checks, 1);
         assert_eq!(delta.decisions, 5);
         assert_eq!(delta.propagations, 9);
         assert_eq!(delta.conflicts, 1);
