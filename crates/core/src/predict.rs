@@ -480,6 +480,7 @@ fn count_solver_work(obs: &Obs, delta: &SolverStats, theory: &TheoryStats) {
     obs.count("pp.restored", delta.pp_restored);
     obs.count("pp.probe_visits", delta.pp_probe_visits);
     obs.count("pp.subsume_checks", delta.pp_subsume_checks);
+    obs.count("pp.bve_pairs", delta.pp_bve_pairs);
 }
 
 /// Convenience: `TxnId` list rendering for diagnostics.

@@ -18,74 +18,150 @@
 //! telemetry is collected. `--metrics PATH` streams the run's JSONL event
 //! stream (spans, solver counters) to `PATH` and embeds the aggregated
 //! `metrics` section in the report; `--metrics-stdout` streams to stdout.
+//!
+//! An unknown option or name, a malformed number or an empty matrix prints
+//! the usage line and exits with status 2.
+
+use std::process::ExitCode;
 
 use isopredict::{IsolationLevel, Obs, Strategy};
 use isopredict_obs::metrics_registry;
 use isopredict_orchestrator::{Campaign, CampaignOptions, ShardPolicy};
 use isopredict_workloads::{Benchmark, WorkloadSize};
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
+const USAGE: &str = "usage: campaign [--paper] [--benchmarks LIST] [--seeds N] \
+[--strategies exact-strict,approx-strict,approx-relaxed] [--isolation causal,rc,si] \
+[--size small|large] [--budget N] [--workers N] [--shard auto|never|always] [--corpus DIR] \
+[--no-preprocess] [--heartbeat-every N] [--out PATH] [--det-out PATH] \
+[--metrics PATH | --metrics-stdout]";
 
+/// The parsed command line (`--metrics`/`--metrics-stdout` are validated
+/// here and read by `metrics_registry`).
+#[derive(Debug)]
+struct Args {
+    campaign: Campaign,
+    options: CampaignOptions,
+    out: Option<String>,
+    det_out: Option<String>,
+}
+
+/// Parses the arguments after the program name. Every option must be
+/// known, every value well-formed and every name one the matrix knows, so
+/// a typo cannot silently fall back to a default. `--paper` selects the
+/// paper's matrix before any other option narrows it, wherever it appears.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let args: Vec<String> = args.into_iter().collect();
     let mut campaign = if args.iter().any(|a| a == "--paper") {
         Campaign::paper_matrix()
     } else {
         Campaign::new()
     };
-    if let Some(list) = arg(&args, "--benchmarks") {
-        campaign = campaign.benchmarks(list.split(',').map(parse_benchmark));
-    }
-    if let Some(n) = arg(&args, "--seeds").and_then(|v| v.parse::<u64>().ok()) {
-        campaign = campaign.seeds(0..n);
-    }
-    if let Some(list) = arg(&args, "--strategies") {
-        campaign = campaign.strategies(list.split(',').map(parse_strategy));
-    }
-    if let Some(list) = arg(&args, "--isolation") {
-        campaign = campaign.isolations(list.split(',').map(parse_isolation));
-    }
-    if let Some(size) = arg(&args, "--size") {
-        campaign = campaign.size(match size.as_str() {
-            "large" => WorkloadSize::Large,
-            _ => WorkloadSize::Small,
-        });
-    }
-
     let mut options = CampaignOptions::default();
-    if let Some(budget) = arg(&args, "--budget").and_then(|v| v.parse().ok()) {
-        options.conflict_budget = Some(budget);
-    }
-    if let Some(workers) = arg(&args, "--workers").and_then(|v| v.parse().ok()) {
-        options.workers = workers;
-    }
-    if let Some(policy) = arg(&args, "--shard") {
-        options.shard_policy = match policy.as_str() {
-            "never" => ShardPolicy::Never,
-            "always" => ShardPolicy::Always,
-            _ => ShardPolicy::default(),
+    let (mut out, mut det_out) = (None, None);
+    let mut iter = args.iter();
+    while let Some(flag) = iter.next() {
+        let mut value = || {
+            iter.next()
+                .filter(|v| !v.starts_with("--"))
+                .cloned()
+                .ok_or_else(|| format!("{flag} requires a value"))
         };
+        match flag.as_str() {
+            "--paper" | "--metrics-stdout" => {}
+            "--no-preprocess" => options.preprocess = false,
+            "--metrics" => {
+                value()?;
+            }
+            "--benchmarks" => {
+                campaign = campaign.benchmarks(list(&value()?, parse_name::<Benchmark>)?)
+            }
+            "--seeds" => campaign = campaign.seeds(0..number(flag, &value()?)?),
+            "--strategies" => campaign = campaign.strategies(list(&value()?, parse_strategy)?),
+            "--isolation" => {
+                campaign = campaign.isolations(list(&value()?, parse_name::<IsolationLevel>)?)
+            }
+            "--size" => {
+                campaign = campaign.size(match value()?.as_str() {
+                    "small" => WorkloadSize::Small,
+                    "large" => WorkloadSize::Large,
+                    other => return Err(format!("unknown size `{other}`")),
+                });
+            }
+            "--budget" => options.conflict_budget = Some(number(flag, &value()?)?),
+            "--workers" => options.workers = number(flag, &value()?)?,
+            "--shard" => {
+                options.shard_policy = match value()?.as_str() {
+                    "auto" => ShardPolicy::default(),
+                    "never" => ShardPolicy::Never,
+                    "always" => ShardPolicy::Always,
+                    other => return Err(format!("unknown shard policy `{other}`")),
+                };
+            }
+            "--corpus" => options.corpus = Some(value()?.into()),
+            // Solver heartbeat interval in conflicts (0 disables). Heartbeats
+            // feed the obs stream and `unknown` post-mortems, never the
+            // deterministic report half.
+            "--heartbeat-every" => options.heartbeat_every = number(flag, &value()?)?,
+            "--out" => out = Some(value()?),
+            "--det-out" => det_out = Some(value()?),
+            other => return Err(format!("unknown argument `{other}`")),
+        }
     }
-    if let Some(dir) = arg(&args, "--corpus") {
-        options.corpus = Some(dir.into());
+    if campaign.experiments() == 0 {
+        return Err("the campaign matrix is empty".to_string());
     }
-    // A/B switch for the SAT core's static preprocessing pipeline; the
-    // deterministic report half must not depend on it.
-    if args.iter().any(|a| a == "--no-preprocess") {
-        options.preprocess = false;
+    Ok(Args {
+        campaign,
+        options,
+        out,
+        det_out,
+    })
+}
+
+fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag} expects a non-negative integer, got `{value}`"))
+}
+
+fn list<T>(value: &str, parse: fn(&str) -> Result<T, String>) -> Result<Vec<T>, String> {
+    value.split(',').map(parse).collect()
+}
+
+/// A benchmark or isolation level by name, through its `FromStr`.
+fn parse_name<T: std::str::FromStr<Err: std::fmt::Display>>(name: &str) -> Result<T, String> {
+    name.parse().map_err(|error: T::Err| error.to_string())
+}
+
+fn parse_strategy(name: &str) -> Result<Strategy, String> {
+    match name {
+        "exact-strict" => Ok(Strategy::ExactStrict),
+        "approx-strict" => Ok(Strategy::ApproxStrict),
+        "approx-relaxed" => Ok(Strategy::ApproxRelaxed),
+        other => Err(format!("unknown strategy `{other}`")),
     }
-    // Solver heartbeat interval in conflicts (0 disables). Heartbeats feed
-    // the obs stream and `unknown` post-mortems, never the deterministic
-    // report half.
-    if let Some(every) = arg(&args, "--heartbeat-every").and_then(|v| v.parse().ok()) {
-        options.heartbeat_every = every;
-    }
+}
+
+fn main() -> ExitCode {
+    let Args {
+        campaign,
+        options,
+        out,
+        det_out,
+    } = match parse_args(std::env::args().skip(1)) {
+        Ok(args) => args,
+        Err(error) => {
+            eprintln!("campaign: {error}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
 
     eprintln!(
         "campaign: {} experiments on {} workers",
         campaign.experiments(),
         options.workers
     );
-    let registry = metrics_registry(&args);
+    let registry = metrics_registry(&std::env::args().collect::<Vec<_>>());
     let obs = registry.as_ref().map_or_else(Obs::off, |r| r.obs());
     let report = campaign.run_observed(&options, &obs);
     if let Some(registry) = &registry {
@@ -154,36 +230,86 @@ fn main() {
         );
     }
 
-    if let Some(path) = arg(&args, "--out") {
+    if let Some(path) = out {
         std::fs::write(&path, report.to_json()).expect("write report");
         eprintln!("report written to {path}");
     }
-    if let Some(path) = arg(&args, "--det-out") {
+    if let Some(path) = det_out {
         std::fs::write(&path, report.deterministic_json()).expect("write deterministic report");
         eprintln!("deterministic report half written to {path}");
     }
+    ExitCode::SUCCESS
 }
 
-fn parse_benchmark(name: &str) -> Benchmark {
-    name.parse().unwrap_or_else(|error| panic!("{error}"))
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-fn parse_strategy(name: &str) -> Strategy {
-    match name {
-        "exact-strict" => Strategy::ExactStrict,
-        "approx-strict" => Strategy::ApproxStrict,
-        "approx-relaxed" => Strategy::ApproxRelaxed,
-        other => panic!("unknown strategy `{other}`"),
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(ToString::to_string))
     }
-}
 
-fn parse_isolation(name: &str) -> IsolationLevel {
-    name.parse().unwrap_or_else(|error| panic!("{error}"))
-}
+    #[test]
+    fn accepted_flags_set_the_campaign() {
+        let args = parse(&[
+            "--benchmarks",
+            "smallbank,voter",
+            "--seeds",
+            "3",
+            "--isolation",
+            "rc",
+            "--strategies",
+            "approx-relaxed",
+            "--budget",
+            "5000",
+            "--workers",
+            "2",
+            "--shard",
+            "never",
+            "--no-preprocess",
+            "--metrics-stdout",
+            "--det-out",
+            "det.json",
+        ])
+        .expect("valid arguments");
+        assert_eq!(args.campaign.experiments(), 2 * 3);
+        assert_eq!(args.options.conflict_budget, Some(5000));
+        assert_eq!(args.options.workers, 2);
+        assert_eq!(args.options.shard_policy, ShardPolicy::Never);
+        assert!(!args.options.preprocess);
+        assert_eq!(args.det_out.as_deref(), Some("det.json"));
+        assert_eq!(args.out, None);
+    }
 
-fn arg(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+    #[test]
+    fn unknown_flags_are_rejected() {
+        let error = parse(&["--seeds", "1", "--budgte", "10"]).unwrap_err();
+        assert!(error.contains("--budgte"), "{error}");
+        assert!(parse(&["stray"]).is_err());
+    }
+
+    #[test]
+    fn malformed_numbers_are_rejected() {
+        for flag in ["--budget", "--seeds", "--workers", "--heartbeat-every"] {
+            let error = parse(&[flag, "ten"]).unwrap_err();
+            assert!(error.contains(flag) && error.contains("ten"), "{error}");
+            assert!(parse(&[flag]).is_err(), "{flag} without a value");
+        }
+        assert!(parse(&["--budget", "-5"]).is_err());
+        assert!(parse(&["--seeds", "0"]).unwrap_err().contains("empty"));
+    }
+
+    #[test]
+    fn unknown_names_are_rejected() {
+        for (flag, value) in [
+            ("--benchmarks", "smallbank,nope"),
+            ("--strategies", "exact"),
+            ("--isolation", "serializable-ish"),
+            ("--size", "huge"),
+            ("--shard", "foo"),
+        ] {
+            let error = parse(&[flag, value]).unwrap_err();
+            assert!(error.contains("nope") || error.contains(value), "{error}");
+        }
+    }
 }

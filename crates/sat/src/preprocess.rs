@@ -334,26 +334,33 @@ struct ProbeWatch {
 /// Two-watched-literal index over the simplifier's working clauses, used by
 /// failed-literal probing and scoped to one probing pass.
 ///
-/// The watched positions live in `pos` instead of being swapped to the
+/// The watched literals live in `watched` instead of being swapped to the
 /// front, because the literal order of the working clauses is part of the
 /// simplifier's output (it seeds the solver's watch setup). Every probe
 /// starts from the top-level assignment, under which no literal of a
 /// working clause is assigned, so watches never need repair after the
-/// probe's assignment is undone.
+/// probe's assignment is undone. A failed literal does change the clauses;
+/// [`ProbeWatches::repair`] then moves the watches off the literals it
+/// falsified.
+///
+/// Invariant: for every live clause `c` and each `w` in `watched[c]`,
+/// `lists[w]` holds exactly one entry for `c`, and every entry for a live
+/// clause in `lists[l]` has `l` in `watched[c]`. Entries for removed
+/// clauses are dropped when visited.
 #[derive(Default)]
 struct ProbeWatches {
-    /// `lists[l.code()]`: watches on clauses with `l` at a watched position.
+    /// `lists[l.code()]`: watches on clauses with `l` watched.
     lists: Vec<Vec<ProbeWatch>>,
-    /// Positions of the two watched literals, per clause slot.
-    pos: Vec<[u32; 2]>,
+    /// The two watched literals, per clause slot.
+    watched: Vec<[Lit; 2]>,
     /// The probe's assignments in order; also its propagation queue.
     trail: Vec<Lit>,
     /// `implied[l.code()] == epoch`: `l` was assigned by a probe that ended
-    /// without conflict since the lists were last built.
+    /// without conflict since the clauses last changed.
     implied: Vec<u32>,
     epoch: u32,
-    /// The lists match the working clauses (cleared when those change).
-    valid: bool,
+    /// The lists have been built (at the pass's first probe).
+    built: bool,
     /// Watch-list entries visited so far.
     visits: u64,
 }
@@ -362,17 +369,15 @@ impl ProbeWatches {
     /// Watches the first two literals of every live clause.
     fn build(&mut self, clauses: &[Option<Vec<Lit>>], fixed: &[LBool]) {
         self.lists.resize_with(2 * fixed.len(), Vec::new);
-        for list in &mut self.lists {
-            list.clear();
-        }
-        self.pos.clear();
-        self.pos.resize(clauses.len(), [0, 1]);
+        self.watched.clear();
+        self.watched.resize(clauses.len(), [Lit::from_code(0); 2]);
         self.implied.resize(2 * fixed.len(), 0);
         self.epoch += 1;
         for (ci, lits) in clauses.iter().enumerate() {
             let Some(lits) = lits else { continue };
             debug_assert!(lits.iter().all(|&l| lit_value(fixed, l) == LBool::Undef));
             let clause = ci as u32;
+            self.watched[ci] = [lits[0], lits[1]];
             self.lists[lits[0].code()].push(ProbeWatch {
                 clause,
                 blocker: lits[1],
@@ -382,7 +387,44 @@ impl ProbeWatches {
                 blocker: lits[0],
             });
         }
-        self.valid = true;
+        self.built = true;
+    }
+
+    /// Restores the invariant after `propagate_fixed` fixed `newly_fixed`
+    /// (in fix order) and rewrote the clauses. Clauses it satisfied or
+    /// reduced to units are removed; the rest only lost literals that are
+    /// now false, and each such literal is the negation of one in
+    /// `newly_fixed`. So the watches to move are exactly those in the lists
+    /// of the newly falsified literals. Every literal left in a live clause
+    /// is unassigned, so any one other than the clause's second watch will
+    /// do.
+    fn repair(&mut self, clauses: &[Option<Vec<Lit>>], newly_fixed: &[Lit]) {
+        for &lit in newly_fixed {
+            // Every clause watching `lit` was satisfied and removed.
+            self.lists[lit.code()] = Vec::new();
+            let false_lit = lit.negate();
+            for watch in std::mem::take(&mut self.lists[false_lit.code()]) {
+                let ci = watch.clause as usize;
+                let Some(lits) = clauses[ci].as_deref() else {
+                    continue;
+                };
+                let w = self.watched[ci];
+                let slot = usize::from(w[0] != false_lit);
+                let other = w[1 - slot];
+                let new = lits
+                    .iter()
+                    .copied()
+                    .find(|&l| l != other)
+                    .expect("live clauses have two literals");
+                self.watched[ci][slot] = new;
+                self.lists[new.code()].push(ProbeWatch {
+                    blocker: other,
+                    ..watch
+                });
+            }
+        }
+        // Stronger clauses can make a previously implied literal fail.
+        self.epoch += 1;
     }
 
     /// Assumes `start`, unit-propagates over `clauses` without modifying
@@ -422,15 +464,14 @@ impl ProbeWatches {
                     kept += 1;
                     continue;
                 }
-                let lits = clauses[watch.clause as usize]
-                    .as_deref()
-                    .expect("watched clauses are live");
-                let other = if lits.len() == 2 {
-                    watch.blocker
-                } else {
-                    let pos = &mut self.pos[watch.clause as usize];
-                    let slot = usize::from(lits[pos[0] as usize] != false_lit);
-                    let other = lits[pos[1 - slot] as usize];
+                let ci = watch.clause as usize;
+                let Some(lits) = clauses[ci].as_deref() else {
+                    continue; // removed by a failed literal: drop the watch
+                };
+                let w = self.watched[ci];
+                let slot = usize::from(w[0] != false_lit);
+                let other = w[1 - slot];
+                if lits.len() > 2 {
                     if lit_value(fixed, other) == LBool::True {
                         list[kept] = ProbeWatch {
                             blocker: other,
@@ -439,21 +480,19 @@ impl ProbeWatches {
                         kept += 1;
                         continue;
                     }
-                    let replacement = (0..lits.len()).find(|&k| {
-                        k as u32 != pos[0]
-                            && k as u32 != pos[1]
-                            && lit_value(fixed, lits[k]) != LBool::False
-                    });
-                    if let Some(k) = replacement {
-                        pos[slot] = k as u32;
-                        self.lists[lits[k].code()].push(ProbeWatch {
+                    let replacement = lits
+                        .iter()
+                        .copied()
+                        .find(|&l| l != w[0] && l != w[1] && lit_value(fixed, l) != LBool::False);
+                    if let Some(new) = replacement {
+                        self.watched[ci][slot] = new;
+                        self.lists[new.code()].push(ProbeWatch {
                             blocker: other,
                             ..watch
                         });
                         continue;
                     }
-                    other
-                };
+                }
                 // Every other literal is false: the clause is unit or falsified.
                 list[kept] = watch;
                 kept += 1;
@@ -483,6 +522,129 @@ impl ProbeWatches {
             }
         }
         conflict
+    }
+}
+
+/// How often a test build took paths that the `golden_identity` test must
+/// see exercised, per thread.
+#[cfg(test)]
+#[derive(Debug, Default, Clone, Copy)]
+struct PathCounts {
+    /// Variables BVE gave up on after counting their resolvents.
+    bve_gave_up: u64,
+    /// Variables eliminated although some of their resolvents were
+    /// tautologies.
+    bve_taut_elims: u64,
+    /// The most failed literals found in one probing pass.
+    max_failed_per_probe_pass: u64,
+}
+
+#[cfg(test)]
+thread_local! {
+    static PATHS: std::cell::Cell<PathCounts> = std::cell::Cell::new(PathCounts::default());
+}
+
+#[cfg(test)]
+fn note_path(update: impl FnOnce(&mut PathCounts)) {
+    PATHS.with(|paths| {
+        let mut counts = paths.get();
+        update(&mut counts);
+        paths.set(counts);
+    });
+}
+
+/// The resolvent of `p_lits` (containing `pivot`) and `n_lits` (containing
+/// `¬pivot`): sorted, without duplicates, and `None` if it is a tautology.
+fn resolvent(p_lits: &[Lit], n_lits: &[Lit], pivot: Lit) -> Option<Vec<Lit>> {
+    let neg = pivot.negate();
+    let mut res: Vec<Lit> = p_lits.iter().copied().filter(|&l| l != pivot).collect();
+    res.extend(n_lits.iter().copied().filter(|&l| l != neg));
+    res.sort_unstable();
+    res.dedup();
+    // `l` and `¬l` have adjacent codes, so they meet once sorted.
+    if res.windows(2).any(|w| w[0] == w[1].negate()) {
+        return None;
+    }
+    Some(res)
+}
+
+/// The count step of bounded variable elimination: how many of a
+/// variable's resolvents are non-tautological, found with literal marks
+/// instead of building each resolvent. Scoped to one BVE pass.
+struct ResolventCounter {
+    /// `mark[l.code()] == epoch`: `l` is in the clause stamped last.
+    mark: Vec<u32>,
+    epoch: u32,
+    /// Per negative clause: tautological on its own, pivot aside.
+    neg_taut: Vec<bool>,
+    /// Clause pairs examined (`SolverStats::pp_bve_pairs`).
+    pairs: u64,
+}
+
+impl ResolventCounter {
+    fn new(num_vars: usize) -> Self {
+        ResolventCounter {
+            mark: vec![0; 2 * num_vars],
+            epoch: 0,
+            neg_taut: Vec::new(),
+            pairs: 0,
+        }
+    }
+
+    /// Marks the literals of `lits` other than `skip` under a fresh epoch;
+    /// returns whether they contain a complementary pair.
+    fn stamp(&mut self, lits: &[Lit], skip: Lit) -> bool {
+        self.epoch += 1;
+        let mut taut = false;
+        for &l in lits {
+            if l != skip {
+                taut |= self.mark[l.negate().code()] == self.epoch;
+                self.mark[l.code()] = self.epoch;
+            }
+        }
+        taut
+    }
+
+    /// Counts the non-tautological resolvents on `pivot` of the clauses in
+    /// `pos_list` (containing `pivot`) and `neg_list` (containing `¬pivot`)
+    /// in [`resolvent`]'s pair order, and stops as soon as the count
+    /// exceeds `bound`. A pair is tautological iff either side is on its
+    /// own, or some literal of the negative side has its complement on
+    /// the positive side.
+    fn count(
+        &mut self,
+        clauses: &[Option<Vec<Lit>>],
+        pos_list: &[usize],
+        neg_list: &[usize],
+        pivot: Lit,
+        bound: usize,
+    ) -> usize {
+        let live = |ci: usize| clauses[ci].as_deref().expect("validated live");
+        let neg = pivot.negate();
+        self.neg_taut.clear();
+        for &ni in neg_list {
+            let taut = self.stamp(live(ni), neg);
+            self.neg_taut.push(taut);
+        }
+        let mut count = 0;
+        for &pi in pos_list {
+            let pos_taut = self.stamp(live(pi), pivot);
+            for (&ni, &neg_taut) in neg_list.iter().zip(&self.neg_taut) {
+                self.pairs += 1;
+                let taut = pos_taut
+                    || neg_taut
+                    || live(ni)
+                        .iter()
+                        .any(|&l| l != neg && self.mark[l.negate().code()] == self.epoch);
+                if !taut {
+                    count += 1;
+                    if count > bound {
+                        return count;
+                    }
+                }
+            }
+        }
+        count
     }
 }
 
@@ -523,6 +685,8 @@ struct Simplifier {
     /// Candidate clauses scanned by subsumption and strengthening, i.e.
     /// past the size and signature filters (`SolverStats::pp_subsume_checks`).
     subsume_checks: u64,
+    /// Clause pairs examined by BVE's count step (`SolverStats::pp_bve_pairs`).
+    bve_pairs: u64,
 }
 
 impl Simplifier {
@@ -554,6 +718,7 @@ impl Simplifier {
             probes_used: 0,
             probe_visits: 0,
             subsume_checks: 0,
+            bve_pairs: 0,
         };
         for (lits, family, mask) in originals {
             simp.ingest(lits, family, mask);
@@ -924,6 +1089,8 @@ impl Simplifier {
         // Built at the first probe and dropped with the pass.
         let mut watches = ProbeWatches::default();
         let mut changed = false;
+        #[cfg(test)]
+        let mut failed = 0;
         for (v, &var_in_binary) in in_binary.iter().enumerate() {
             if self.unsat || self.probes_used >= self.cfg.probe_limit {
                 break;
@@ -938,22 +1105,28 @@ impl Simplifier {
                 }
                 self.probes_used += 1;
                 self.summary.probes += 1;
-                if !watches.valid {
+                if !watches.built {
                     watches.build(&self.clauses, &self.fixed);
                 }
                 if watches.probe(&self.clauses, &mut self.fixed, lit) {
+                    #[cfg(test)]
+                    {
+                        failed += 1;
+                    }
+                    let first_new = self.new_fixed.len();
                     self.enqueue_fix(lit.negate());
                     self.propagate_fixed();
-                    // `propagate_fixed` rewrote clauses under the watches.
-                    watches.valid = false;
                     changed = true;
                     if self.unsat {
                         break;
                     }
+                    watches.repair(&self.clauses, &self.new_fixed[first_new..]);
                 }
             }
         }
         self.probe_visits += watches.visits;
+        #[cfg(test)]
+        note_path(|p| p.max_failed_per_probe_pass = p.max_failed_per_probe_pass.max(failed));
         changed
     }
 
@@ -992,6 +1165,7 @@ impl Simplifier {
         };
         let mut pos_list: Vec<usize> = Vec::new();
         let mut neg_list: Vec<usize> = Vec::new();
+        let mut counter = ResolventCounter::new(self.num_vars);
         let mut changed = false;
         for v in 0..self.num_vars {
             if self.unsat {
@@ -1016,78 +1190,66 @@ impl Simplifier {
                 continue; // unconstrained; nothing to gain
             }
 
-            // Generate non-tautological resolvents; bail out if elimination
-            // would grow the clause count. A resolvent keeps the positive
-            // parent's family and ORs both parents' provenance masks.
+            // Count the non-tautological resolvents first and bail out if
+            // elimination would grow the clause count; only then build
+            // them. A resolvent keeps the positive parent's family and ORs
+            // both parents' provenance masks.
             let max_resolvents = pos_list.len() + neg_list.len();
-            let mut resolvents: Vec<(Vec<Lit>, u16, u32)> = Vec::new();
-            let mut too_many = false;
-            'product: for &pi in &pos_list {
+            let count = counter.count(&self.clauses, &pos_list, &neg_list, pos, max_resolvents);
+            if count > max_resolvents {
+                #[cfg(test)]
+                note_path(|p| p.bve_gave_up += 1);
+                continue;
+            }
+            #[cfg(test)]
+            if count < pos_list.len() * neg_list.len() {
+                note_path(|p| p.bve_taut_elims += 1);
+            }
+            let mut resolvents: Vec<(Vec<Lit>, u16, u32)> = Vec::with_capacity(count);
+            for &pi in &pos_list {
                 for &ni in &neg_list {
                     let p_lits = self.clauses[pi].as_ref().expect("validated live");
                     let n_lits = self.clauses[ni].as_ref().expect("validated live");
-                    let mut res: Vec<Lit> = p_lits.iter().copied().filter(|&l| l != pos).collect();
-                    res.extend(n_lits.iter().copied().filter(|&l| l != neg));
-                    res.sort_unstable();
-                    res.dedup();
-                    if res.windows(2).any(|w| w[0] == w[1].negate()) {
-                        continue; // tautology
-                    }
-                    resolvents.push((res, self.meta[pi].0, self.meta[pi].1 | self.meta[ni].1));
-                    if resolvents.len() > max_resolvents {
-                        too_many = true;
-                        break 'product;
+                    if let Some(res) = resolvent(p_lits, n_lits, pos) {
+                        resolvents.push((res, self.meta[pi].0, self.meta[pi].1 | self.meta[ni].1));
                     }
                 }
             }
-            if too_many {
-                continue;
-            }
+            debug_assert_eq!(resolvents.len(), count);
 
-            // Commit: record restoration clauses and reconstruction entries
-            // (the smaller side plus a defaulting unit), then swap the
-            // variable's clauses for the resolvents.
-            let clone_side = |simp: &Simplifier, list: &[usize]| -> Vec<RestoredClause> {
+            // Commit: move the variable's clauses out of the formula into
+            // its restoration clauses, record reconstruction entries (the
+            // smaller side plus a defaulting unit), then add the resolvents.
+            let take_side = |simp: &mut Simplifier, list: &[usize]| -> Vec<RestoredClause> {
                 list.iter()
                     .map(|&ci| RestoredClause {
-                        lits: simp.clauses[ci].as_ref().expect("validated live").clone(),
+                        lits: simp.clauses[ci].take().expect("validated live"),
                         family: simp.meta[ci].0,
                         mask: simp.meta[ci].1,
                     })
                     .collect()
             };
-            let pos_clauses = clone_side(self, &pos_list);
-            let neg_clauses = clone_side(self, &neg_list);
-            let mut stack = Vec::new();
-            if pos_clauses.len() <= neg_clauses.len() {
-                for clause in &pos_clauses {
-                    stack.push(ElimEntry {
-                        pivot: pos,
-                        clause: clause.lits.clone(),
-                    });
-                }
-                stack.push(ElimEntry {
-                    pivot: neg,
-                    clause: vec![neg],
-                });
+            let pos_clauses = take_side(self, &pos_list);
+            let neg_clauses = take_side(self, &neg_list);
+            let (side, pivot, other) = if pos_clauses.len() <= neg_clauses.len() {
+                (&pos_clauses, pos, neg)
             } else {
-                for clause in &neg_clauses {
-                    stack.push(ElimEntry {
-                        pivot: neg,
-                        clause: clause.lits.clone(),
-                    });
-                }
-                stack.push(ElimEntry {
-                    pivot: pos,
-                    clause: vec![pos],
-                });
-            }
+                (&neg_clauses, neg, pos)
+            };
+            let mut stack: Vec<ElimEntry> = side
+                .iter()
+                .map(|clause| ElimEntry {
+                    pivot,
+                    clause: clause.lits.clone(),
+                })
+                .collect();
+            stack.push(ElimEntry {
+                pivot: other,
+                clause: vec![other],
+            });
             let mut restore = pos_clauses;
             restore.extend(neg_clauses);
 
-            for &ci in pos_list.iter().chain(&neg_list) {
-                self.remove_clause(ci);
-            }
             self.active[v] = false;
             self.summary.eliminated += 1;
             self.summary.resolvents += resolvents.len() as u64;
@@ -1107,6 +1269,7 @@ impl Simplifier {
             }
             changed = true;
         }
+        self.bve_pairs += counter.pairs;
         changed
     }
 
@@ -1319,6 +1482,7 @@ impl Solver {
         simp.run();
         self.stats.pp_probe_visits += simp.probe_visits;
         self.stats.pp_subsume_checks += simp.subsume_checks;
+        self.stats.pp_bve_pairs += simp.bve_pairs;
 
         summary.rounds = simp.summary.rounds;
         summary.fixed = simp.summary.fixed;
@@ -1336,20 +1500,28 @@ impl Solver {
             return summary;
         }
 
-        // Apply the recorded variable operations.
-        for op in &simp.ops {
+        let Simplifier {
+            clauses,
+            meta,
+            new_fixed,
+            ops,
+            ..
+        } = simp;
+
+        // Apply the recorded variable operations, moving their clauses.
+        for op in ops {
             match op {
                 SimpOp::Substitute { var, rep } => {
                     debug_assert_eq!(self.var_state[var.index()], VarState::Active);
                     self.var_state[var.index()] = VarState::Substituted;
-                    self.subst[var.index()] = *rep;
+                    self.subst[var.index()] = rep;
                     self.elim_stack.push(ElimEntry {
-                        pivot: Lit::positive(*var),
-                        clause: vec![Lit::positive(*var), rep.negate()],
+                        pivot: Lit::positive(var),
+                        clause: vec![Lit::positive(var), rep.negate()],
                     });
                     self.elim_stack.push(ElimEntry {
-                        pivot: Lit::negative(*var),
-                        clause: vec![Lit::negative(*var), *rep],
+                        pivot: Lit::negative(var),
+                        clause: vec![Lit::negative(var), rep],
                     });
                 }
                 SimpOp::Eliminate {
@@ -1359,14 +1531,14 @@ impl Solver {
                 } => {
                     debug_assert_eq!(self.var_state[var.index()], VarState::Active);
                     self.var_state[var.index()] = VarState::Eliminated;
-                    self.elim_stack.extend(stack.iter().cloned());
-                    self.restore_clauses[var.index()] = restore.clone();
+                    self.elim_stack.extend(stack);
+                    self.restore_clauses[var.index()] = restore;
                 }
             }
         }
 
         // Enqueue newly fixed literals at the top level.
-        for &lit in &simp.new_fixed {
+        for lit in new_fixed {
             debug_assert!(self.is_active_var(lit.var()));
             match self.assignment.value_lit(lit) {
                 LBool::Undef => self.enqueue(lit, None),
@@ -1418,8 +1590,10 @@ impl Solver {
         // Rebuild the clause database and watches from scratch, carrying the
         // provenance the simplifier tracked per clause slot.
         self.db = ClauseDb::new();
-        self.watches = vec![Vec::new(); 2 * self.num_vars()];
-        for (lits, (family, mask)) in simp.clauses.into_iter().zip(simp.meta) {
+        for list in &mut self.watches {
+            list.clear();
+        }
+        for (lits, (family, mask)) in clauses.into_iter().zip(meta) {
             let Some(lits) = lits else { continue };
             debug_assert!(lits.len() >= 2);
             let mut clause = Clause::new(lits, false);
@@ -2001,6 +2175,7 @@ mod tests {
 
     #[test]
     fn golden_identity() {
+        PATHS.with(|paths| paths.set(PathCounts::default()));
         let mut actual: Vec<(String, u64)> = Vec::new();
         let mut probe_fixed = 0;
         let mut strengthened = 0;
@@ -2109,6 +2284,97 @@ mod tests {
         assert!(eliminated > 0, "no instance eliminated a variable");
         assert!(equivalences > 0, "no instance substituted an equivalence");
         assert!(restored > 0, "the CEGAR instance restored no variable");
+        let paths = PATHS.with(std::cell::Cell::get);
+        assert!(paths.bve_gave_up > 0, "BVE never gave up after counting");
+        assert!(
+            paths.bve_taut_elims > 0,
+            "BVE eliminated no variable with a tautological resolvent"
+        );
+        assert!(
+            paths.max_failed_per_probe_pass >= 2,
+            "no probing pass probed over repaired watches"
+        );
+    }
+
+    /// The BVE loop before the count step: build, sort and dedup every
+    /// resolvent, and stop once more than `bound` are non-tautological.
+    /// Returns the non-tautological count and the pairs visited.
+    fn reference_count(
+        clauses: &[Option<Vec<Lit>>],
+        pos_list: &[usize],
+        neg_list: &[usize],
+        pos: Lit,
+        bound: usize,
+    ) -> (usize, u64) {
+        let neg = pos.negate();
+        let (mut count, mut pairs) = (0, 0);
+        for &pi in pos_list {
+            for &ni in neg_list {
+                pairs += 1;
+                let p_lits = clauses[pi].as_ref().unwrap();
+                let n_lits = clauses[ni].as_ref().unwrap();
+                let mut res: Vec<Lit> = p_lits.iter().copied().filter(|&l| l != pos).collect();
+                res.extend(n_lits.iter().copied().filter(|&l| l != neg));
+                res.sort_unstable();
+                res.dedup();
+                if res.windows(2).any(|w| w[0] == w[1].negate()) {
+                    continue;
+                }
+                count += 1;
+                if count > bound {
+                    return (count, pairs);
+                }
+            }
+        }
+        (count, pairs)
+    }
+
+    /// Clause sides for [`count_step_matches_reference`]: 1–10 clauses (the
+    /// default occurrence limit) of 0–4 random literals over 5 variables,
+    /// to which the pivot literal is added. Variable 0 is the pivot, so a
+    /// side may also hold the pivot's complement, and random literals may
+    /// repeat or clash within a clause.
+    fn side() -> impl proptest::strategy::Strategy<Value = Vec<Vec<(u32, bool)>>> {
+        use proptest::prelude::*;
+        prop::collection::vec(prop::collection::vec((0u32..5, any::<bool>()), 0..5), 1..11)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(400))]
+
+        /// The count step decides and counts exactly as building every
+        /// resolvent did, over shared literals, tautological pairs and full
+        /// occurrence lists, at the BVE bound and at a random one.
+        #[test]
+        fn count_step_matches_reference(
+            positive in side(),
+            negative in side(),
+            slack in 0usize..40,
+        ) {
+            let pos = Lit::positive(Var::from_index(0));
+            let lit = |&(v, negated): &(u32, bool)| Lit::new(Var::from_index(v), negated);
+            let mut clauses: Vec<Option<Vec<Lit>>> = Vec::new();
+            let mut add_side = |side: &[Vec<(u32, bool)>], pivot: Lit| -> Vec<usize> {
+                side.iter()
+                    .map(|random| {
+                        let mut lits: Vec<Lit> = random.iter().map(lit).collect();
+                        lits.insert(lits.len() / 2, pivot);
+                        clauses.push(Some(lits));
+                        clauses.len() - 1
+                    })
+                    .collect()
+            };
+            let pos_list = add_side(&positive, pos);
+            let neg_list = add_side(&negative, pos.negate());
+            let mut counter = ResolventCounter::new(5);
+            for bound in [pos_list.len() + neg_list.len(), slack] {
+                let before = counter.pairs;
+                let count = counter.count(&clauses, &pos_list, &neg_list, pos, bound);
+                let (expected, pairs) = reference_count(&clauses, &pos_list, &neg_list, pos, bound);
+                proptest::prop_assert_eq!(count, expected, "bound {}", bound);
+                proptest::prop_assert_eq!(counter.pairs - before, pairs);
+            }
+        }
     }
 
     #[test]

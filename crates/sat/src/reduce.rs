@@ -26,8 +26,7 @@ impl Solver {
     /// with low LBD ("glue") and high activity. Clauses that are currently the
     /// reason of an assignment are never deleted.
     pub(crate) fn reduce_learnt_db(&mut self) {
-        let locked: Vec<Option<ClauseRef>> = self.reasons.clone();
-        let is_locked = |cref: ClauseRef| locked.contains(&Some(cref));
+        let is_locked = self.locked_clauses();
 
         let mut candidates: Vec<(ClauseRef, u32, f64)> = self
             .db
@@ -48,6 +47,19 @@ impl Solver {
             self.db.delete(cref);
             self.stats.deleted_clauses += 1;
         }
+    }
+
+    /// Whether some variable's `reasons` entry points at a clause, from a
+    /// bitset over the clause slots filled in one pass over `reasons`
+    /// instead of a scan of it per clause.
+    fn locked_clauses(&self) -> impl Fn(ClauseRef) -> bool {
+        let mut locked = vec![0u64; self.db.clauses.len().div_ceil(64)];
+        for cref in self.reasons.iter().flatten() {
+            if let Some(word) = locked.get_mut(cref.index() / 64) {
+                *word |= 1 << (cref.index() % 64);
+            }
+        }
+        move |cref: ClauseRef| locked[cref.index() / 64] >> (cref.index() % 64) & 1 == 1
     }
 }
 
@@ -92,6 +104,55 @@ mod tests {
             }
         }
         assert_eq!(solver.solve(), SolveOutcome::Unsat);
+    }
+
+    #[test]
+    fn locked_bitset_agrees_with_reason_scan() {
+        // Stop a pigeonhole proof mid-search with a tiny learnt limit, so
+        // the database holds learnt clauses and reductions have run.
+        let mut config = SolverConfig {
+            learnt_limit: 4,
+            max_conflicts: Some(60),
+            ..SolverConfig::default()
+        };
+        config.preprocess.enabled = false;
+        let mut solver = Solver::with_config(config);
+        let (pigeons, holes) = (7, 6);
+        let vars: Vec<Var> = (0..pigeons * holes).map(|_| solver.new_var()).collect();
+        for row in vars.chunks(holes) {
+            solver.add_clause(row.iter().map(|&v| Lit::positive(v)));
+        }
+        for hole in 0..holes {
+            for p1 in 0..pigeons {
+                for p2 in p1 + 1..pigeons {
+                    solver.add_clause([
+                        Lit::negative(vars[holes * p1 + hole]),
+                        Lit::negative(vars[holes * p2 + hole]),
+                    ]);
+                }
+            }
+        }
+        assert_eq!(solver.solve(), SolveOutcome::Unknown);
+        assert!(solver.stats().deleted_clauses > 0, "no reduction ran");
+        // Point variables at clauses as mid-search reasons would, including
+        // several at one clause and the last slot.
+        let slots = solver.db.clauses.len();
+        for (v, reason) in solver.reasons.iter_mut().enumerate() {
+            *reason = match v % 3 {
+                0 => Some(ClauseRef((v * 7 % slots) as u32)),
+                1 => Some(ClauseRef((slots - 1) as u32)),
+                _ => None,
+            };
+        }
+        let is_locked = solver.locked_clauses();
+        for slot in 0..slots {
+            let cref = ClauseRef(slot as u32);
+            assert_eq!(
+                is_locked(cref),
+                solver.reasons.contains(&Some(cref)),
+                "slot {slot}"
+            );
+        }
     }
 
     #[test]

@@ -47,6 +47,9 @@ pub struct SolverStats {
     /// resolution once past the size and signature filters
     /// (`pp.subsume_checks`).
     pub pp_subsume_checks: u64,
+    /// Clause pairs examined by the count step of bounded variable
+    /// elimination (`pp.bve_pairs`).
+    pub pp_bve_pairs: u64,
 }
 
 impl SolverStats {
@@ -85,6 +88,7 @@ impl SolverStats {
             pp_subsume_checks: self
                 .pp_subsume_checks
                 .saturating_sub(earlier.pp_subsume_checks),
+            pp_bve_pairs: self.pp_bve_pairs.saturating_sub(earlier.pp_bve_pairs),
         }
     }
 
@@ -101,7 +105,7 @@ impl std::fmt::Display for SolverStats {
         write!(
             f,
             "vars={} clauses={} literals={} decisions={} propagations={} conflicts={} (theory {}) restarts={} deleted={} \
-             pp[rounds={} fixed={} equiv={} subsumed={} strengthened={} eliminated={} resolvents={} probes={} restored={} probe_visits={} subsume_checks={}]",
+             pp[rounds={} fixed={} equiv={} subsumed={} strengthened={} eliminated={} resolvents={} probes={} restored={} probe_visits={} subsume_checks={} bve_pairs={}]",
             self.variables,
             self.clauses,
             self.literals,
@@ -121,7 +125,8 @@ impl std::fmt::Display for SolverStats {
             self.pp_probes,
             self.pp_restored,
             self.pp_probe_visits,
-            self.pp_subsume_checks
+            self.pp_subsume_checks,
+            self.pp_bve_pairs
         )
     }
 }
@@ -143,6 +148,7 @@ mod tests {
             clauses: 8,
             literals: 9,
             pp_eliminated: 10,
+            pp_bve_pairs: 11,
             ..SolverStats::default()
         };
         let s = stats.to_string();
@@ -153,6 +159,7 @@ mod tests {
             "conflicts=3",
             "theory 4",
             "eliminated=10",
+            "bve_pairs=11",
         ] {
             assert!(s.contains(needle), "missing {needle} in {s}");
         }
@@ -173,6 +180,7 @@ mod tests {
             pp_eliminated: 2,
             pp_probe_visits: 100,
             pp_subsume_checks: 40,
+            pp_bve_pairs: 500,
             ..SolverStats::default()
         };
         let later = SolverStats {
@@ -188,12 +196,14 @@ mod tests {
             pp_eliminated: 5,
             pp_probe_visits: 130,
             pp_subsume_checks: 41,
+            pp_bve_pairs: 620,
             ..SolverStats::default()
         };
         let delta = later.diff(&earlier);
         assert_eq!(delta.pp_eliminated, 3);
         assert_eq!(delta.pp_probe_visits, 30);
         assert_eq!(delta.pp_subsume_checks, 1);
+        assert_eq!(delta.pp_bve_pairs, 120);
         assert_eq!(delta.decisions, 5);
         assert_eq!(delta.propagations, 9);
         assert_eq!(delta.conflicts, 1);
