@@ -12,42 +12,45 @@
 //! loaded instead of re-recorded, and fresh recordings are persisted there.
 //! `--metrics PATH` streams the run's telemetry (phase spans, solver
 //! counters) as JSONL events to `PATH`.
+//!
+//! An unknown option or name, a malformed number, `--seeds 0` or a corpus
+//! that cannot be opened prints the usage line and exits with status 2.
+
+use std::process::ExitCode;
 
 use isopredict::{IsolationLevel, Obs, Strategy};
+use isopredict_bench::cli::TableArgs;
 use isopredict_bench::harness::run_experiment_observed;
 use isopredict_bench::tables::PredictionRow;
-use isopredict_corpus::Corpus;
 use isopredict_obs::{metrics_registry, MetricsSection};
 use isopredict_orchestrator::WorkerPool;
-use isopredict_workloads::{Benchmark, WorkloadConfig, WorkloadSize};
+use isopredict_workloads::{Benchmark, WorkloadConfig};
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let isolation = arg(&args, "--isolation")
-        .map(|name| name.parse().unwrap_or_else(|error| panic!("{error}")))
-        .unwrap_or(IsolationLevel::Causal);
-    let size = match arg(&args, "--size").as_deref() {
-        Some("large") => WorkloadSize::Large,
-        _ => WorkloadSize::Small,
+const USAGE: &str = "usage: table4_5 [--isolation causal|rc|si] [--size small|large] [--seeds N] [--budget N] [--workers N] [--corpus DIR] [--metrics PATH | --metrics-stdout]";
+
+fn main() -> ExitCode {
+    let args = match TableArgs::parse(std::env::args().skip(1), false) {
+        Ok(args) => args,
+        Err(error) => {
+            eprintln!("table4_5: {error}\n{USAGE}");
+            return ExitCode::from(2);
+        }
     };
-    let seeds: u64 = arg(&args, "--seeds")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10);
-    let budget: u64 = arg(&args, "--budget")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2_000_000);
-    let pool = match arg(&args, "--workers").and_then(|v| v.parse().ok()) {
-        Some(workers) => WorkerPool::new(workers),
-        None => WorkerPool::auto(),
-    };
-    let registry = metrics_registry(&args);
+    let TableArgs {
+        isolation,
+        size,
+        seeds,
+        budget,
+        workers,
+        mut corpus,
+        ..
+    } = args;
+    let pool = workers.map_or_else(WorkerPool::auto, WorkerPool::new);
+    let registry = metrics_registry(&std::env::args().collect::<Vec<_>>());
     let obs = registry.as_ref().map_or_else(Obs::off, |r| r.obs());
-    let corpus: Option<Corpus> = arg(&args, "--corpus").map(|dir| {
-        let mut corpus = Corpus::open(&dir)
-            .unwrap_or_else(|error| panic!("cannot open corpus at {dir}: {error}"));
+    if let Some(corpus) = &mut corpus {
         corpus.set_obs(obs.clone());
-        corpus
-    });
+    }
 
     // Levels beyond the paper's two tables label themselves, so a future
     // seam row gets a correct title without touching this binary.
@@ -138,11 +141,5 @@ fn main() {
         }
         println!();
     }
-}
-
-fn arg(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+    ExitCode::SUCCESS
 }

@@ -13,15 +13,22 @@
 //! (the MonkeyDB-style random exploration is inherently re-executed).
 //! `--metrics PATH` streams the run's telemetry (exploration and pipeline
 //! spans, solver counters) as JSONL events to `PATH`.
+//!
+//! An unknown option or name, a malformed number, `--seeds 0` or a corpus
+//! that cannot be opened prints the usage line and exits with status 2.
+
+use std::process::ExitCode;
 
 use isopredict::{IsolationLevel, Obs, Strategy};
+use isopredict_bench::cli::TableArgs;
 use isopredict_bench::harness::{run_experiment_observed, ExperimentOutcome};
 use isopredict_bench::tables::ComparisonRow;
-use isopredict_corpus::Corpus;
 use isopredict_history::serializability;
 use isopredict_obs::metrics_registry;
 use isopredict_orchestrator::WorkerPool;
-use isopredict_workloads::{run, Benchmark, Schedule, WorkloadConfig, WorkloadSize};
+use isopredict_workloads::{run, Benchmark, Schedule, WorkloadConfig};
+
+const USAGE: &str = "usage: table6_7 [--isolation causal|rc|si] [--size small|large] [--seeds N] [--runs-per-seed N] [--budget N] [--workers N] [--corpus DIR] [--metrics PATH | --metrics-stdout]";
 
 /// Per-(benchmark, seed) tallies produced by one pool task.
 #[derive(Default)]
@@ -33,36 +40,29 @@ struct SeedTally {
     validated: u64,
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let isolation = arg(&args, "--isolation")
-        .map(|name| name.parse().unwrap_or_else(|error| panic!("{error}")))
-        .unwrap_or(IsolationLevel::Causal);
-    let size = match arg(&args, "--size").as_deref() {
-        Some("large") => WorkloadSize::Large,
-        _ => WorkloadSize::Small,
+fn main() -> ExitCode {
+    let args = match TableArgs::parse(std::env::args().skip(1), true) {
+        Ok(args) => args,
+        Err(error) => {
+            eprintln!("table6_7: {error}\n{USAGE}");
+            return ExitCode::from(2);
+        }
     };
-    let seeds: u64 = arg(&args, "--seeds")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10);
-    let runs_per_seed: u64 = arg(&args, "--runs-per-seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10);
-    let budget: u64 = arg(&args, "--budget")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2_000_000);
-    let pool = match arg(&args, "--workers").and_then(|v| v.parse().ok()) {
-        Some(workers) => WorkerPool::new(workers),
-        None => WorkerPool::auto(),
-    };
-    let registry = metrics_registry(&args);
+    let TableArgs {
+        isolation,
+        size,
+        seeds,
+        runs_per_seed,
+        budget,
+        workers,
+        mut corpus,
+    } = args;
+    let pool = workers.map_or_else(WorkerPool::auto, WorkerPool::new);
+    let registry = metrics_registry(&std::env::args().collect::<Vec<_>>());
     let obs = registry.as_ref().map_or_else(Obs::off, |r| r.obs());
-    let corpus: Option<Corpus> = arg(&args, "--corpus").map(|dir| {
-        let mut corpus = Corpus::open(&dir)
-            .unwrap_or_else(|error| panic!("cannot open corpus at {dir}: {error}"));
+    if let Some(corpus) = &mut corpus {
         corpus.set_obs(obs.clone());
-        corpus
-    });
+    }
 
     // The paper uses the best-performing strategy per isolation level:
     // Approx-Relaxed under causal (Table 6), Approx-Strict under rc
@@ -175,11 +175,5 @@ fn main() {
         };
         println!("{}", row.render());
     }
-}
-
-fn arg(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+    ExitCode::SUCCESS
 }

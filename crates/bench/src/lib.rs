@@ -16,6 +16,7 @@
 
 #![deny(missing_docs)]
 
+pub mod cli;
 pub mod tables;
 
 pub use isopredict_orchestrator::harness;

@@ -19,9 +19,11 @@ pub enum BoundaryKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Strategy {
     /// Exact unserializability condition (Section 4.2.1) with the strict
-    /// boundary. Implemented as a counterexample-guided loop: enumerate
-    /// feasible weak-isolation-conforming candidates and keep only those whose
-    /// prefix history admits no commit order.
+    /// boundary. Implemented as a counterexample-guided loop: the solver
+    /// proposes feasible weak-isolation-conforming candidates, the first
+    /// whose prefix history admits no commit order is the prediction, and
+    /// each serializable candidate's witness commit order rules out every
+    /// candidate it also serializes.
     ExactStrict,
     /// Approximate (sufficient) unserializability condition via a cyclic `pco`
     /// with rank constraints (Section 4.2.2), strict boundary.

@@ -20,6 +20,7 @@ use isopredict_history::{KeyId, TxnId};
 use isopredict_store::IsolationLevel;
 
 use super::Encoder;
+use crate::config::BoundaryKind;
 
 /// The encoder-side seam row: how to emit one level's SMT axioms.
 pub(crate) struct IsolationAxioms {
@@ -111,9 +112,10 @@ impl Encoder<'_> {
     }
 
     /// Read committed (Section 4.3.2, Appendix B.3.2):
-    /// `choice(s3, i) = t1 ∧ choice(s3, j) = t2 ∧ j ≤ boundary(s3) ⇒ co(t1) < co(t2)`
-    /// for reads `i < j` of transaction `t3` where `j` reads key `k`, and `t1`
-    /// and `t2` both write `k`.
+    /// `choice(s3, i) = t1 ∧ choice(s3, j) = t2 ∧ j ≤ boundary(s3) ∧
+    /// wrpos_k(t1) < boundary(s1) ⇒ co(t1) < co(t2)` for reads `i < j` of
+    /// transaction `t3` where `j` reads key `k`, and `t1` and `t2` both write
+    /// `k`.
     fn encode_read_committed(&mut self) {
         self.encode_hb_in_commit_order();
         let keys: Vec<_> = self.history.keys().collect();
@@ -147,7 +149,19 @@ impl Encoder<'_> {
                                     continue;
                                 }
                                 let within = self.included(session, j);
-                                let antecedent = self.smt.and([beta, alpha, within]);
+                                // The strict boundary can cut `t1` between
+                                // its writes: the write β reads may be
+                                // included while `t1`'s write of `k` is not,
+                                // and then `t1` is no `k`-writer of the
+                                // predicted history. The relaxed boundary
+                                // keeps `t1` whole, so there β's feasibility
+                                // already implies the guard.
+                                let visible = if self.boundary_kind == BoundaryKind::Strict {
+                                    self.write_included(t1, key)
+                                } else {
+                                    self.smt.true_term()
+                                };
+                                let antecedent = self.smt.and([beta, alpha, within, visible]);
                                 let co1 = self.co(t1);
                                 let co2 = self.co(t2);
                                 let less = self.smt.less(co1, co2);

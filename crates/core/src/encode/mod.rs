@@ -36,6 +36,7 @@
 
 pub(crate) mod feasibility;
 pub(crate) mod isolation;
+pub(crate) mod refinement;
 pub(crate) mod unserializability;
 
 use std::collections::{BTreeMap, HashMap};
@@ -54,7 +55,6 @@ pub(crate) struct ChoiceVar {
     /// The key the read accesses.
     pub(crate) key: KeyId,
     /// The transaction the read belongs to.
-    #[allow(dead_code)] // kept for diagnostics and future encoders
     pub(crate) txn: TxnId,
     /// Candidate writer transactions (the variable's domain, in order).
     pub(crate) candidates: Vec<TxnId>,
@@ -89,7 +89,6 @@ pub(crate) struct BoundaryVar {
 pub(crate) struct Encoder<'h> {
     pub(crate) history: &'h History,
     pub(crate) smt: SmtSolver,
-    #[allow(dead_code)] // recorded for diagnostics
     pub(crate) boundary_kind: BoundaryKind,
     pub(crate) choice: BTreeMap<(SessionId, usize), ChoiceVar>,
     pub(crate) boundary: BTreeMap<SessionId, BoundaryVar>,

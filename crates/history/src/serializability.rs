@@ -80,9 +80,12 @@ pub fn check(history: &History) -> SerializabilityResult {
         }
     }
 
-    // hb ⊆ co.
+    // hb ⊆ co. A cyclic hb (closed into a self-loop) fits no commit order.
     let hb = hb_graph(history);
     for (from, to) in hb.edge_list() {
+        if from == to {
+            return SerializabilityResult::Unserializable;
+        }
         solver.add_clause([co(&ord, from.index(), to.index())]);
     }
 
@@ -274,6 +277,24 @@ mod tests {
         }
         let h = b.finish();
         assert!(check(&h).is_serializable());
+    }
+
+    #[test]
+    fn cyclic_happens_before_is_unserializable() {
+        // Each transaction reads the other's write: wr closes an hb cycle.
+        let mut b = HistoryBuilder::new();
+        let s1 = b.session("s1");
+        let s2 = b.session("s2");
+        let t1 = b.begin(s1);
+        let t2 = b.begin(s2);
+        b.read(t1, "x", t2);
+        b.write(t1, "y");
+        b.read(t2, "y", t1);
+        b.write(t2, "x");
+        b.commit(t1);
+        b.commit(t2);
+        let h = b.finish();
+        assert_eq!(check(&h), SerializabilityResult::Unserializable);
     }
 
     #[test]

@@ -45,29 +45,70 @@ fn campaign_reports_are_byte_identical_across_1_2_and_8_workers() {
     assert!(reports[0].contains("\"benchmark\": \"Voter\""));
 }
 
+/// The deterministic report halves of `campaign` with preprocessing on and
+/// off.
+fn halves_with_and_without_preprocessing(campaign: &Campaign) -> [String; 2] {
+    [true, false].map(|preprocess| {
+        campaign
+            .run(&CampaignOptions {
+                workers: 2,
+                preprocess,
+                ..CampaignOptions::default()
+            })
+            .deterministic_json()
+    })
+}
+
 #[test]
 fn deterministic_half_is_byte_identical_with_and_without_preprocessing() {
     // Preprocessing is equisatisfiable, so it may change which model the
     // solver finds but never a verdict: the deterministic report half
     // (verdict-level fields only) must not move when it is toggled.
-    let campaign = campaign();
-    let halves: Vec<String> = [true, false]
-        .into_iter()
-        .map(|preprocess| {
-            campaign
-                .run(&CampaignOptions {
-                    workers: 2,
-                    preprocess,
-                    ..CampaignOptions::default()
-                })
-                .deterministic_json()
-        })
-        .collect();
+    let halves = halves_with_and_without_preprocessing(&campaign());
     assert_eq!(
         halves[0], halves[1],
         "preprocessing changed the deterministic report half"
     );
     assert!(halves[0].contains("\"outcome\""));
+}
+
+#[test]
+fn exact_strict_deterministic_half_is_byte_identical_with_and_without_preprocessing() {
+    // The exact strategy's refinement path depends on the models the solver
+    // finds, so this holds only because each refinement step excludes whole
+    // classes of candidates and the reported size is the encoding's.
+    let campaign = campaign().strategies([Strategy::ExactStrict]);
+    let halves = halves_with_and_without_preprocessing(&campaign);
+    assert_eq!(
+        halves[0], halves[1],
+        "preprocessing changed the Exact-Strict deterministic report half"
+    );
+    assert!(
+        !halves[0].contains("\"outcome\": \"unknown\""),
+        "{}",
+        halves[0]
+    );
+}
+
+#[test]
+fn exact_strict_decides_wikipedia_rc_without_preprocessing() {
+    // Blocking one solver model per serializable candidate used to exhaust
+    // the 256-candidate cap here without preprocessing (`unknown`) while the
+    // preprocessed run validated.
+    let report = Campaign::new()
+        .benchmarks([Benchmark::Wikipedia])
+        .seeds([0, 1])
+        .strategies([Strategy::ExactStrict])
+        .isolations([IsolationLevel::ReadCommitted])
+        .run(&CampaignOptions {
+            workers: 2,
+            preprocess: false,
+            ..CampaignOptions::default()
+        });
+    assert_eq!(report.tasks.len(), 2);
+    for task in &report.tasks {
+        assert_eq!(task.outcome, "validated", "seed {}", task.seed);
+    }
 }
 
 #[test]
