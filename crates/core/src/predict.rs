@@ -249,6 +249,12 @@ impl Predictor {
     /// whole class of candidates, and models that differ only past a
     /// session's boundary never come back.
     ///
+    /// The formula is preprocessed once, under the first `solve` span.
+    /// Refinement clauses then join the simplified formula incrementally:
+    /// the SAT core maps them through its substitutions and restores any
+    /// eliminated variable they mention, so later candidates cost a search,
+    /// not another pass of the pipeline.
+    ///
     /// The reported encoding size is taken before the loop: it is the
     /// constraint system the paper's tables measure, and it does not depend
     /// on which candidates the search happened to visit.
@@ -295,10 +301,7 @@ impl Predictor {
             // detlint: allow(wall-clock) — solving_time is non-deterministic-half data.
             let solve_start = Instant::now();
             let solve_span = obs.span("solve");
-            if self.config.preprocess {
-                // Every refinement clause marks the formula dirty, so each
-                // candidate re-runs the whole pipeline over the whole
-                // formula (one call per examined candidate).
+            if self.config.preprocess && candidates_examined == 0 {
                 let pp_span = solve_span.obs().span("preprocess");
                 encoder.smt.preprocess();
                 pp_span.finish();
@@ -726,6 +729,30 @@ mod tests {
             .count() as u64;
         assert_eq!(snapshot.counter("exact.candidates"), sat_solves);
         assert!(snapshot.spans.iter().any(|s| s.name == "encode"));
+    }
+
+    #[test]
+    fn exact_strategy_preprocesses_once_per_analysis() {
+        use isopredict_obs::{MetricsSection, Registry};
+
+        // Under read committed the first candidate is serializable, so the
+        // loop refines once and predicts on the second.
+        let observed = deposit_withdraw_deposit();
+        let registry = Registry::new();
+        let obs = registry.obs();
+        let root = obs.span("predict");
+        let outcome = predictor(Strategy::ExactStrict, IsolationLevel::ReadCommitted)
+            .predict_obs(&observed, root.obs());
+        assert!(outcome.is_prediction());
+        let root_id = root.id().expect("enabled");
+        root.finish();
+
+        let snapshot = registry.snapshot();
+        let candidates = snapshot.counter("exact.candidates");
+        assert!(candidates >= 2, "examined {candidates} candidate(s)");
+        let metrics = MetricsSection::for_span(&snapshot, root_id);
+        assert_eq!(metrics.span("predict/solve").unwrap().count, candidates);
+        assert_eq!(metrics.span("predict/solve/preprocess").unwrap().count, 1);
     }
 
     #[test]

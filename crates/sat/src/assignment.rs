@@ -99,21 +99,18 @@ impl Assignment {
         self.trail.push(lit);
     }
 
-    /// Unassigns everything above `level`, returning the literals removed in
-    /// reverse-chronological order (most recent first).
-    pub(crate) fn backtrack_to(&mut self, level: u32) -> Vec<Lit> {
-        let mut removed = Vec::new();
+    /// Unassigns everything above `level`, passing each removed literal to
+    /// `on_unassign` in reverse-chronological order (most recent first).
+    pub(crate) fn backtrack_to(&mut self, level: u32, mut on_unassign: impl FnMut(Lit)) {
         if self.decision_level() <= level {
-            return removed;
+            return;
         }
         let target = self.trail_lim[level as usize];
-        while self.trail.len() > target {
-            let lit = self.trail.pop().expect("trail is non-empty above target");
+        for lit in self.trail.drain(target..).rev() {
             self.values[lit.var().index()] = LBool::Undef;
-            removed.push(lit);
+            on_unassign(lit);
         }
         self.trail_lim.truncate(level as usize);
-        removed
     }
 
     #[cfg_attr(not(test), allow(dead_code))]
@@ -155,7 +152,8 @@ mod tests {
         a.assign(lit(3, false)); // level 2 (propagation)
         assert_eq!(a.decision_level(), 2);
 
-        let removed = a.backtrack_to(1);
+        let mut removed = Vec::new();
+        a.backtrack_to(1, |lit| removed.push(lit));
         assert_eq!(removed, vec![lit(3, false), lit(2, false)]);
         assert_eq!(a.decision_level(), 1);
         assert_eq!(a.value_var(Var::from_index(2)), LBool::Undef);
@@ -169,7 +167,9 @@ mod tests {
         let mut a = Assignment::new();
         a.grow_to(1);
         a.assign(lit(0, false));
-        assert!(a.backtrack_to(0).is_empty());
+        let mut removed = Vec::new();
+        a.backtrack_to(0, |lit| removed.push(lit));
+        assert!(removed.is_empty());
         assert_eq!(a.value_var(Var::from_index(0)), LBool::True);
     }
 

@@ -81,45 +81,56 @@ impl ActivityHeap {
         }
     }
 
-    fn less(&self, a: usize, b: usize) -> bool {
-        self.activity[self.heap[a] as usize] < self.activity[self.heap[b] as usize]
-    }
-
-    fn swap(&mut self, a: usize, b: usize) {
-        self.heap.swap(a, b);
-        self.positions[self.heap[a] as usize] = a;
-        self.positions[self.heap[b] as usize] = b;
-    }
-
+    /// Moves the variable at `pos` towards the root while its parent has a
+    /// lower activity. The variable is held in a hole that travels up, so
+    /// each step writes one slot instead of swapping two.
     fn sift_up(&mut self, mut pos: usize) {
+        let var = self.heap[pos];
+        let act = self.activity[var as usize];
         while pos > 0 {
             let parent = (pos - 1) / 2;
-            if self.less(parent, pos) {
-                self.swap(parent, pos);
+            let up = self.heap[parent];
+            if self.activity[up as usize] < act {
+                self.heap[pos] = up;
+                self.positions[up as usize] = pos;
                 pos = parent;
             } else {
                 break;
             }
         }
+        self.heap[pos] = var;
+        self.positions[var as usize] = pos;
     }
 
+    /// Moves the variable at `pos` towards the leaves while a child has a
+    /// higher activity, preferring the left child on ties: the tie-breaks
+    /// fix the decision order, so they must not change.
     fn sift_down(&mut self, mut pos: usize) {
+        let var = self.heap[pos];
+        let act = self.activity[var as usize];
+        let len = self.heap.len();
         loop {
             let left = 2 * pos + 1;
-            let right = 2 * pos + 2;
+            let right = left + 1;
             let mut largest = pos;
-            if left < self.heap.len() && self.less(largest, left) {
+            let mut largest_act = act;
+            if left < len && largest_act < self.activity[self.heap[left] as usize] {
                 largest = left;
+                largest_act = self.activity[self.heap[left] as usize];
             }
-            if right < self.heap.len() && self.less(largest, right) {
+            if right < len && largest_act < self.activity[self.heap[right] as usize] {
                 largest = right;
             }
             if largest == pos {
                 break;
             }
-            self.swap(pos, largest);
+            let down = self.heap[largest];
+            self.heap[pos] = down;
+            self.positions[down as usize] = pos;
             pos = largest;
         }
+        self.heap[pos] = var;
+        self.positions[var as usize] = pos;
     }
 }
 

@@ -21,10 +21,15 @@
 //! cannot see, so they are never eliminated or substituted (they may still be
 //! fixed by unit propagation or probing, which is sound).
 //!
-//! The preprocessor is incremental-safe: [`Solver::add_clause`] maps literals
-//! through the substitution table and transparently restores eliminated
-//! variables that a new clause mentions (re-adding their stored clauses), so
-//! blocking-clause loops keep working.
+//! The preprocessor is incremental-safe, and the implicit pass runs once:
+//! [`Solver::solve`] preprocesses only before a solver's first search.
+//! Clauses added afterwards join the simplified formula directly:
+//! [`Solver::add_clause`] maps their literals through the substitution table,
+//! transparently restores eliminated variables they mention (re-adding the
+//! stored clauses), and simplifies them against the top-level assignment, so
+//! refinement and blocking-clause loops keep working without re-running the
+//! pipeline. An explicit [`Solver::preprocess`] call still re-runs it on
+//! demand.
 //!
 //! [SatELite]: https://doi.org/10.1007/11499107_5
 
@@ -1430,9 +1435,11 @@ impl Solver {
 
     /// Runs the static preprocessing pipeline on the current clause database.
     ///
-    /// Invoked automatically at the start of [`Solver::solve`] when enabled;
-    /// calling it explicitly is idempotent (the formula is only reprocessed
-    /// after new clauses arrive). Returns a summary of the changes made.
+    /// Invoked automatically before a solver's first [`Solver::solve`] when
+    /// enabled; later solves keep the simplified formula and let new clauses
+    /// join it incrementally. Calling it explicitly re-runs the pipeline if
+    /// clauses arrived since the last run and is otherwise a no-op. Returns
+    /// a summary of the changes made.
     pub fn preprocess(&mut self) -> PreprocessSummary {
         let mut summary = PreprocessSummary::default();
         if !self.ok {

@@ -16,17 +16,20 @@ impl Solver {
             self.stats.propagations += 1;
 
             // Clauses watching ¬p must be examined because ¬p just became false.
+            // The list is compacted in place: `i` reads, `j` writes the
+            // watchers that stay. New watches never land on this list (the
+            // replacement literal is not false, ¬p is).
             let mut watchers = std::mem::take(&mut self.watches[p.code()]);
-            let mut kept = Vec::with_capacity(watchers.len());
-            let mut idx = 0;
+            let (mut i, mut j) = (0, 0);
 
-            'watchers: while idx < watchers.len() {
-                let watcher = watchers[idx];
-                idx += 1;
+            'watchers: while i < watchers.len() {
+                let watcher = watchers[i];
+                i += 1;
 
                 // Fast path: the blocker literal is already true.
                 if self.value(watcher.blocker) == LBool::True {
-                    kept.push(watcher);
+                    watchers[j] = watcher;
+                    j += 1;
                     continue;
                 }
 
@@ -44,10 +47,11 @@ impl Solver {
 
                 let first = self.db.get(cref).lits[0];
                 if first != watcher.blocker && self.value(first) == LBool::True {
-                    kept.push(Watcher {
+                    watchers[j] = Watcher {
                         cref,
                         blocker: first,
-                    });
+                    };
+                    j += 1;
                     continue;
                 }
 
@@ -67,18 +71,18 @@ impl Solver {
                 }
 
                 // No new watch: the clause is unit or conflicting.
-                kept.push(Watcher {
+                watchers[j] = Watcher {
                     cref,
                     blocker: first,
-                });
+                };
+                j += 1;
                 if self.value(first) == LBool::False {
                     // Conflict: keep the remaining watchers untouched and stop.
                     conflict = Some(cref);
                     self.qhead = self.assignment.trail.len();
-                    while idx < watchers.len() {
-                        kept.push(watchers[idx]);
-                        idx += 1;
-                    }
+                    watchers.copy_within(i.., j);
+                    j += watchers.len() - i;
+                    i = watchers.len();
                 } else {
                     let family = self.db.get(cref).family;
                     self.attribution.propagations_by_family[usize::from(family)] += 1;
@@ -87,8 +91,8 @@ impl Solver {
             }
 
             debug_assert!(self.watches[p.code()].is_empty());
-            self.watches[p.code()] = kept;
-            watchers.clear();
+            watchers.truncate(j);
+            self.watches[p.code()] = watchers;
         }
 
         conflict

@@ -131,6 +131,9 @@ pub struct Solver {
     pub(crate) restore_clauses: Vec<Vec<RestoredClause>>,
     /// Whether clauses arrived since the last preprocessing run.
     pub(crate) pp_dirty: bool,
+    /// Whether a solve call has started; the implicit preprocessing pass
+    /// runs only before the first one.
+    pub(crate) solved_once: bool,
     /// Per-family attribution of solver work (see [`crate::flight`]).
     pub(crate) attribution: FamilyAttribution,
     /// Family tag applied to subsequently added problem clauses.
@@ -198,6 +201,7 @@ impl Solver {
             elim_stack: Vec::new(),
             restore_clauses: Vec::new(),
             pp_dirty: false,
+            solved_once: false,
             attribution: FamilyAttribution::with_reserved(),
             emit_family: crate::flight::FAMILY_DEFAULT,
             analysis_mask: 0,
@@ -386,13 +390,12 @@ impl Solver {
         if self.assignment.decision_level() <= level {
             return;
         }
-        let removed = self.assignment.backtrack_to(level);
-        for lit in removed {
+        self.assignment.backtrack_to(level, |lit| {
             let var = lit.var();
             self.phases[var.index()] = lit.is_positive();
             self.reasons[var.index()] = None;
             self.heap.insert(var);
-        }
+        });
         self.qhead = self.assignment.trail.len();
         self.theory_head = self.theory_head.min(self.assignment.trail.len());
     }
@@ -467,7 +470,9 @@ impl Solver {
         self.hb_seq = 0;
         self.heartbeat_ring.clear();
 
-        if self.config.preprocess.enabled && self.pp_dirty {
+        // The implicit pass runs once; later clauses join the simplified
+        // formula through `add_clause_with_provenance`.
+        if !std::mem::replace(&mut self.solved_once, true) && self.pp_dirty {
             self.preprocess();
             if !self.ok {
                 return SolveOutcome::Unsat;

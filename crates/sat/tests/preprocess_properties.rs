@@ -126,3 +126,93 @@ proptest! {
         }
     }
 }
+
+/// Whether `clauses` over `num_vars` variables has a satisfying assignment,
+/// by enumeration.
+fn brute_force_sat(num_vars: usize, clauses: &[Vec<(u8, bool)>]) -> bool {
+    (0u32..1 << num_vars).any(|bits| {
+        clauses
+            .iter()
+            .all(|clause| clause.iter().any(|&(v, neg)| (bits >> v & 1 == 1) != neg))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The implicit pass runs once: after the first solve, batches of
+    /// clauses that mention eliminated and substituted variables join the
+    /// simplified formula without another preprocessing run, and every
+    /// answer still agrees with brute force over all clauses so far.
+    #[test]
+    fn clause_batches_join_the_simplified_formula_without_reprocessing(
+        (num_vars, raw) in (4usize..9, prop::collection::vec(
+            prop::collection::vec((0u8..32, any::<bool>()), 1..4), 1..20)),
+        equivalences in prop::collection::vec((0u8..32, 0u8..32), 0..4),
+        frozen_mask in 0u16..512,
+        batches in prop::collection::vec(
+            prop::collection::vec(
+                (0u8..32, prop::collection::vec((0u8..32, any::<bool>()), 0..3), any::<bool>()),
+                1..4,
+            ),
+            1..5,
+        ),
+    ) {
+        // Planted equivalences give the substitution pass something to do.
+        let mut clauses = normalize(num_vars, &raw);
+        for &(a, b) in &equivalences {
+            let (a, b) = (a % num_vars as u8, b % num_vars as u8);
+            if a != b {
+                clauses.push(vec![(a, false), (b, true)]);
+                clauses.push(vec![(a, true), (b, false)]);
+            }
+        }
+        let mut solver = build(num_vars, &clauses, true);
+        for v in 0..num_vars {
+            if frozen_mask >> v & 1 == 1 {
+                solver.freeze_var(Var::from_index(v as u32));
+            }
+        }
+        let first = solver.solve();
+        prop_assert_eq!(first.is_sat(), brute_force_sat(num_vars, &clauses));
+        let rounds = solver.stats().pp_rounds;
+
+        for batch in &batches {
+            // Each clause leads with a variable preprocessing took out of
+            // the formula, when there is one left.
+            let inactive: Vec<u8> = (0..num_vars as u8)
+                .filter(|&v| !solver.is_active_var(Var::from_index(u32::from(v))))
+                .collect();
+            for (pick, rest, neg) in batch {
+                let lead = if inactive.is_empty() {
+                    pick % num_vars as u8
+                } else {
+                    inactive[usize::from(*pick) % inactive.len()]
+                };
+                let mut clause = vec![(lead, *neg)];
+                clause.extend(normalize(num_vars, std::slice::from_ref(rest)).remove(0));
+                solver.add_clause(
+                    clause
+                        .iter()
+                        .map(|&(v, neg)| Lit::new(Var::from_index(u32::from(v)), neg)),
+                );
+                clauses.push(clause);
+            }
+            let outcome = solver.solve();
+            prop_assert_eq!(
+                outcome.is_sat(),
+                brute_force_sat(num_vars, &clauses),
+                "incremental answer disagrees with brute force"
+            );
+            prop_assert!(outcome != SolveOutcome::Unknown);
+            if outcome.is_sat() {
+                check_model(&solver, &clauses)?;
+            }
+            prop_assert_eq!(
+                solver.stats().pp_rounds,
+                rounds,
+                "a later solve re-ran preprocessing"
+            );
+        }
+    }
+}

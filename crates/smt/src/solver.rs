@@ -381,8 +381,9 @@ impl SmtSolver {
     }
 
     /// Runs SAT-core preprocessing immediately (it otherwise runs at the
-    /// start of [`SmtSolver::check`]); exposed so callers can time it under
-    /// a dedicated observability span. Idempotent until new assertions
+    /// start of the first [`SmtSolver::check`]; later assertions join the
+    /// simplified formula incrementally); exposed so callers can time it
+    /// under a dedicated observability span. Idempotent until new assertions
     /// arrive.
     pub fn preprocess(&mut self) -> PreprocessSummary {
         self.sat.preprocess()
