@@ -2,7 +2,7 @@
 //! prediction strategies (the ablation behind Tables 4/5's strategy rows).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use isopredict::{IsolationLevel, Predictor, PredictorConfig, Strategy};
+use isopredict::{IsolationLevel, Obs, Predictor, PredictorConfig, Strategy};
 use isopredict_bench::harness::record_observed;
 use isopredict_workloads::{Benchmark, WorkloadConfig};
 
@@ -32,7 +32,7 @@ fn bench_strategies(c: &mut Criterion) {
                         max_exact_candidates: 8,
                         ..PredictorConfig::default()
                     });
-                    criterion::black_box(predictor.predict(&observed));
+                    criterion::black_box(predictor.predict(&observed, &Obs::off()));
                 });
             },
         );

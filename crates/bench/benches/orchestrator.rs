@@ -4,11 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use isopredict::{IsolationLevel, Predictor, PredictorConfig, Strategy};
+use isopredict::{IsolationLevel, Obs, Predictor, PredictorConfig, Strategy};
 use isopredict_history::{History, HistoryBuilder, TxnId};
-use isopredict_orchestrator::{
-    merge_outcomes, Campaign, CampaignOptions, ShardPlan, ShardPolicy, ShardUnit,
-};
+use isopredict_orchestrator::{merge_outcomes, Campaign, CampaignOptions, ShardPlan, ShardPolicy};
 use isopredict_workloads::Benchmark;
 
 fn campaign() -> Campaign {
@@ -79,7 +77,7 @@ fn bench_sharded_vs_whole(c: &mut Criterion) {
         BenchmarkId::from_parameter("whole-history"),
         &observed,
         |b, observed| {
-            b.iter(|| criterion::black_box(predictor.predict(observed)));
+            b.iter(|| criterion::black_box(predictor.predict(observed, &Obs::off())));
         },
     );
     group.bench_with_input(
@@ -91,12 +89,7 @@ fn bench_sharded_vs_whole(c: &mut Criterion) {
                 let outcomes: Vec<_> = plan
                     .units
                     .iter()
-                    .map(|unit| match unit {
-                        ShardUnit::Whole => predictor.predict(observed),
-                        ShardUnit::Component { txns, .. } => {
-                            predictor.predict_restricted(observed, txns)
-                        }
-                    })
+                    .map(|unit| predictor.predict(&plan.history_for(observed, unit), &Obs::off()))
                     .collect();
                 criterion::black_box(merge_outcomes(observed, &outcomes, plan.sharded))
             });

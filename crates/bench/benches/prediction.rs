@@ -2,7 +2,7 @@
 //! Tables 4 and 5, small workload, Approx-Relaxed under causal).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use isopredict::{IsolationLevel, Predictor, PredictorConfig, Strategy};
+use isopredict::{IsolationLevel, Obs, Predictor, PredictorConfig, Strategy};
 use isopredict_bench::harness::record_observed;
 use isopredict_workloads::{Benchmark, WorkloadConfig};
 
@@ -23,7 +23,7 @@ fn bench_benchmarks(c: &mut Criterion) {
                         isolation: IsolationLevel::Causal,
                         ..PredictorConfig::default()
                     });
-                    criterion::black_box(predictor.predict(observed));
+                    criterion::black_box(predictor.predict(observed, &Obs::off()));
                 });
             },
         );

@@ -7,7 +7,9 @@
 use std::fs;
 use std::path::PathBuf;
 
-use isopredict::{report, IsolationLevel, PredictionOutcome, Predictor, PredictorConfig, Strategy};
+use isopredict::{
+    report, IsolationLevel, Obs, PredictionOutcome, Predictor, PredictorConfig, Strategy,
+};
 use isopredict_bench::harness::record_observed;
 use isopredict_history::dot::{render, Overlay};
 use isopredict_workloads::{Benchmark, WorkloadConfig};
@@ -32,7 +34,8 @@ fn main() {
                 isolation: IsolationLevel::Causal,
                 ..PredictorConfig::default()
             });
-            if let PredictionOutcome::Prediction(prediction) = predictor.predict(&observed.history)
+            if let PredictionOutcome::Prediction(prediction) =
+                predictor.predict(&observed.history, &Obs::off())
             {
                 let name = benchmark.name().to_lowercase().replace('-', "");
                 let observed_dot = render(

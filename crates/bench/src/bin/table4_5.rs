@@ -20,7 +20,7 @@ use std::process::ExitCode;
 
 use isopredict::{IsolationLevel, Obs, Strategy};
 use isopredict_bench::cli::TableArgs;
-use isopredict_bench::harness::run_experiment_observed;
+use isopredict_bench::harness::run_experiment;
 use isopredict_bench::tables::PredictionRow;
 use isopredict_obs::{metrics_registry, MetricsSection};
 use isopredict_orchestrator::WorkerPool;
@@ -89,7 +89,7 @@ fn main() -> ExitCode {
                 ("seed", &seed_label),
             ],
         );
-        run_experiment_observed(
+        run_experiment(
             benchmark,
             &config,
             strategy,

@@ -21,7 +21,7 @@ use std::process::ExitCode;
 
 use isopredict::{IsolationLevel, Obs, Strategy};
 use isopredict_bench::cli::TableArgs;
-use isopredict_bench::harness::{run_experiment_observed, ExperimentOutcome};
+use isopredict_bench::harness::{run_experiment, ExperimentOutcome};
 use isopredict_bench::tables::ComparisonRow;
 use isopredict_history::serializability;
 use isopredict_obs::metrics_registry;
@@ -137,7 +137,7 @@ fn main() -> ExitCode {
             }
         }
         exploration_span.finish();
-        let result = run_experiment_observed(
+        let result = run_experiment(
             benchmark,
             &config,
             strategy,

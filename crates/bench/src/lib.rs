@@ -20,6 +20,4 @@ pub mod cli;
 pub mod tables;
 
 pub use isopredict_orchestrator::harness;
-pub use isopredict_orchestrator::harness::{
-    run_experiment, run_experiment_in, run_experiment_observed, ExperimentOutcome, ExperimentResult,
-};
+pub use isopredict_orchestrator::harness::{run_experiment, ExperimentOutcome, ExperimentResult};

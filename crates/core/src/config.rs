@@ -89,10 +89,6 @@ pub struct PredictorConfig {
     /// Maximum number of candidate executions the exact strategy's
     /// counterexample-guided loop examines before giving up.
     pub max_exact_candidates: usize,
-    /// Require at least one read to change its writer. Always on in practice —
-    /// the observed execution is serializable, so an unserializable prediction
-    /// must change something — but exposed for experimentation.
-    pub require_change: bool,
     /// Run the SAT core's static preprocessing pipeline (subsumption, failed
     /// literals, bounded variable elimination) before solving. On by default;
     /// disable to measure raw search or to rule preprocessing out when
@@ -113,7 +109,6 @@ impl Default for PredictorConfig {
             isolation: IsolationLevel::Causal,
             conflict_budget: Some(2_000_000),
             max_exact_candidates: 256,
-            require_change: true,
             preprocess: true,
             heartbeat_every: 10_000,
         }
@@ -139,7 +134,6 @@ mod tests {
     fn default_config_is_sensible() {
         let config = PredictorConfig::default();
         assert_eq!(config.strategy, Strategy::ApproxRelaxed);
-        assert!(config.require_change);
         assert!(config.preprocess);
         assert!(config.max_exact_candidates > 0);
         assert_eq!(config.heartbeat_every, 10_000);

@@ -43,7 +43,6 @@ use std::collections::{BTreeMap, HashMap};
 
 use isopredict_history::{History, KeyId, SessionId, TxnId};
 use isopredict_smt::{FdVar, OrderNode, SmtSolver, TermId};
-use isopredict_store::IsolationLevel;
 
 use crate::config::BoundaryKind;
 
@@ -361,29 +360,9 @@ impl<'h> Encoder<'h> {
         node
     }
 
-    /// Applies all constraint groups for the given isolation level using the
-    /// approximate unserializability encoding, or only feasibility/isolation
-    /// when `encode_unserializable` is false (the exact strategy checks
-    /// unserializability outside the solver).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn encode_all(
-        &mut self,
-        isolation: IsolationLevel,
-        encode_unserializable: bool,
-        require_change: bool,
-    ) {
-        self.encode_feasibility();
-        if require_change {
-            self.encode_require_change();
-        }
-        self.encode_isolation(isolation);
-        if encode_unserializable {
-            self.encode_approx_unserializability();
-        }
-    }
-
     /// Requires at least one read within its session's boundary to read from a
-    /// different writer than observed.
+    /// different writer than observed: the observed execution is
+    /// serializable, so an unserializable prediction must change something.
     pub(crate) fn encode_require_change(&mut self) {
         let reads: Vec<(SessionId, usize, TxnId)> = self
             .choice
@@ -425,6 +404,26 @@ impl<'h> Encoder<'h> {
 #[cfg(test)]
 pub(crate) mod test_support {
     use isopredict_history::{History, HistoryBuilder, TxnId};
+    use isopredict_obs::Obs;
+    use isopredict_store::IsolationLevel;
+
+    use super::Encoder;
+    use crate::{Predictor, PredictorConfig, Strategy};
+
+    /// The predictor's encode phase for `strategy` under `isolation`.
+    pub(crate) fn encoded(
+        history: &History,
+        strategy: Strategy,
+        isolation: IsolationLevel,
+    ) -> Encoder<'_> {
+        Predictor::new(PredictorConfig {
+            strategy,
+            isolation,
+            ..PredictorConfig::default()
+        })
+        .encode(history, &Obs::off())
+        .encoder
+    }
 
     /// Figure 1a / 2a: the second deposit reads the first (serializable).
     pub(crate) fn chained_deposits() -> History {
@@ -486,7 +485,9 @@ pub(crate) mod test_support {
 mod tests {
     use super::test_support::*;
     use super::*;
+    use crate::Strategy;
     use isopredict_smt::SmtResult;
+    use isopredict_store::IsolationLevel;
 
     #[test]
     fn symbol_tables_cover_reads_sessions_and_pairs() {
@@ -552,8 +553,7 @@ mod tests {
     #[test]
     fn model_extraction_reports_boundaries_and_choices() {
         let history = chained_deposits();
-        let mut encoder = Encoder::new(&history, BoundaryKind::Relaxed);
-        encoder.encode_all(isopredict_store::IsolationLevel::Causal, true, true);
+        let mut encoder = encoded(&history, Strategy::ApproxRelaxed, IsolationLevel::Causal);
         assert_eq!(encoder.smt.check(), SmtResult::Sat);
         let s2 = SessionId(1);
         let boundary = encoder.model_boundary(s2).expect("model has a boundary");

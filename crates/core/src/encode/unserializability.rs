@@ -177,7 +177,7 @@ impl Encoder<'_> {
 
 #[cfg(test)]
 mod tests {
-    use crate::config::BoundaryKind;
+    use crate::config::{BoundaryKind, Strategy};
     use crate::encode::test_support::*;
     use crate::encode::Encoder;
     use isopredict_history::{SessionId, TxnId};
@@ -191,8 +191,7 @@ mod tests {
     #[test]
     fn finds_the_racing_deposit_prediction() {
         let history = chained_deposits();
-        let mut encoder = Encoder::new(&history, BoundaryKind::Relaxed);
-        encoder.encode_all(IsolationLevel::Causal, true, true);
+        let mut encoder = encoded(&history, Strategy::ApproxRelaxed, IsolationLevel::Causal);
         assert_eq!(encoder.smt.check(), SmtResult::Sat);
         // The only way to make the prediction unserializable is for t2's read
         // to move to the initial state.
@@ -210,7 +209,9 @@ mod tests {
     fn observed_assignment_admits_no_cycle() {
         let history = chained_deposits();
         let mut encoder = Encoder::new(&history, BoundaryKind::Strict);
-        encoder.encode_all(IsolationLevel::Causal, true, false);
+        encoder.encode_feasibility();
+        encoder.encode_isolation(IsolationLevel::Causal);
+        encoder.encode_approx_unserializability();
         let pins: Vec<(SessionId, usize, TxnId)> = encoder
             .choice
             .iter()
@@ -228,8 +229,7 @@ mod tests {
     #[test]
     fn single_writer_histories_have_no_causal_prediction() {
         let history = single_writer_history();
-        let mut encoder = Encoder::new(&history, BoundaryKind::Relaxed);
-        encoder.encode_all(IsolationLevel::Causal, true, true);
+        let mut encoder = encoded(&history, Strategy::ApproxRelaxed, IsolationLevel::Causal);
         assert_eq!(encoder.smt.check(), SmtResult::Unsat);
     }
 
@@ -254,12 +254,14 @@ mod tests {
         b.commit(tr);
         let history = b.finish();
 
-        let mut encoder = Encoder::new(&history, BoundaryKind::Relaxed);
-        encoder.encode_all(IsolationLevel::ReadCommitted, true, true);
+        let mut encoder = encoded(
+            &history,
+            Strategy::ApproxRelaxed,
+            IsolationLevel::ReadCommitted,
+        );
         assert_eq!(encoder.smt.check(), SmtResult::Sat);
 
-        let mut causal_encoder = Encoder::new(&history, BoundaryKind::Relaxed);
-        causal_encoder.encode_all(IsolationLevel::Causal, true, true);
+        let mut causal_encoder = encoded(&history, Strategy::ApproxRelaxed, IsolationLevel::Causal);
         assert_eq!(causal_encoder.smt.check(), SmtResult::Unsat);
     }
 }

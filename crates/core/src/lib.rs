@@ -27,7 +27,7 @@
 //! # Quick start
 //!
 //! ```
-//! use isopredict::{IsolationLevel, Predictor, PredictorConfig, Strategy};
+//! use isopredict::{IsolationLevel, Obs, Predictor, PredictorConfig, Strategy};
 //! use isopredict_history::{HistoryBuilder, TxnId};
 //!
 //! // The observed execution of Figure 1a: the second deposit reads the first.
@@ -50,13 +50,14 @@
 //!     isolation: IsolationLevel::Causal,
 //!     ..PredictorConfig::default()
 //! });
-//! let outcome = predictor.predict(&observed);
+//! let outcome = predictor.predict(&observed, &Obs::off());
 //! let prediction = outcome.prediction().expect("a prediction exists");
 //! assert!(!isopredict_history::serializability::check(&prediction.predicted).is_serializable());
 //! ```
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
+#![warn(clippy::iter_over_hash_type)]
 
 pub mod encode;
 pub mod report;

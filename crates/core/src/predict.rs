@@ -1,13 +1,16 @@
-//! The predictor: strategies, solving, and the exact strategy's
-//! counterexample-guided search.
+//! The predictor: one encode phase and one solve loop for every strategy,
+//! with the exact strategy's counterexample-guided refinement inside it.
 
 use std::time::{Duration, Instant};
 
 use isopredict_history::{serializability, History, SerializabilityResult, TxnId};
 use isopredict_obs::{HeartbeatSample, Obs};
-use isopredict_smt::{Heartbeat, SmtResult, SmtSolver, SolverPostmortem, SolverStats, TheoryStats};
+use isopredict_smt::{
+    EncodingStats, Heartbeat, SmtResult, SmtSolver, SolverPostmortem, SolverStats, TheoryStats,
+};
 
-use crate::config::{PredictorConfig, Strategy};
+use crate::config::PredictorConfig;
+use crate::encode::unserializability::ApproxSymbols;
 use crate::encode::Encoder;
 use crate::prediction::{extract, Prediction};
 
@@ -89,6 +92,22 @@ pub struct Predictor {
     config: PredictorConfig,
 }
 
+/// One prediction's constraint system as the encode phase leaves it:
+/// feasibility, require-change and isolation for every strategy, plus the
+/// approximate unserializability condition for the approximate ones.
+pub(crate) struct Encoding<'h> {
+    pub(crate) encoder: Encoder<'h>,
+    /// The approximate condition's `pco` symbols, whose model holds the
+    /// cycle that witnesses unserializability. `None` for the exact
+    /// strategy, which checks each candidate outside the solver instead.
+    approx: Option<ApproxSymbols>,
+    families: AxiomFamilies,
+    /// The encoding's size right after encoding: the constraint system the
+    /// paper's tables measure, independent of what the search adds later.
+    stats: EncodingStats,
+    constraint_gen_time: Duration,
+}
+
 impl Predictor {
     /// Creates a predictor with the given configuration.
     #[must_use]
@@ -102,151 +121,29 @@ impl Predictor {
         &self.config
     }
 
-    /// Predicts an unserializable execution from an observed history.
-    #[must_use]
-    pub fn predict(&self, observed: &History) -> PredictionOutcome {
-        self.predict_obs(observed, &Obs::off())
-    }
-
-    /// Like [`Predictor::predict`], reporting telemetry through `obs`:
-    /// an `encode` span with `feasibility`/`isolation`/`unserializability`
-    /// children, one `solve` span per solver call (labelled with its result),
-    /// `encode.*` size counters, and `solver.*` work counters diffed around
-    /// each call. With [`Obs::off`] the cost is a handful of branch checks.
-    #[must_use]
-    pub fn predict_obs(&self, observed: &History, obs: &Obs) -> PredictionOutcome {
-        match self.config.strategy {
-            Strategy::ExactStrict => self.predict_exact(observed, obs),
-            Strategy::ApproxStrict | Strategy::ApproxRelaxed => self.predict_approx(observed, obs),
-        }
-    }
-
-    /// Predicts over the restriction of `observed` to the transactions in
-    /// `keep` (plus `t0`): the component-restricted analysis behind
-    /// `isopredict-orchestrator`'s history sharding.
+    /// Predicts an unserializable execution from an observed history,
+    /// reporting telemetry through `obs`: an `encode` span with
+    /// `feasibility`/`isolation`/`unserializability` children, one `solve`
+    /// span per solver call (labelled with its result; the first one holds
+    /// the `preprocess` span), `encode.*` size counters, and `solver.*` /
+    /// `pp.*` work counters diffed around each call. Pass [`Obs::off`] for
+    /// no telemetry; the cost is then a handful of branch checks.
     ///
-    /// The resulting prediction's transaction identifiers, session
-    /// identifiers and event positions all refer to the *original* observed
-    /// history, so component predictions can be merged back losslessly.
+    /// To analyse one communication component, restrict the history first
+    /// (`isopredict-orchestrator`'s `ShardPlan::history_for`): the
+    /// prediction's identifiers and positions then still refer to the
+    /// original history.
     ///
-    /// Soundness requires `keep` to be closed under communication: no kept
-    /// transaction may share a key or a session with a dropped one (as
-    /// guaranteed by [`isopredict_history::connectivity::KeyComponents`]).
-    /// Reads whose writer is dropped would otherwise be dropped with it,
-    /// changing the analyzed application behavior.
-    #[must_use]
-    pub fn predict_restricted(&self, observed: &History, keep: &[TxnId]) -> PredictionOutcome {
-        self.predict_restricted_obs(observed, keep, &Obs::off())
-    }
-
-    /// Like [`Predictor::predict_restricted`], reporting telemetry through
-    /// `obs` (see [`Predictor::predict_obs`]).
-    #[must_use]
-    pub fn predict_restricted_obs(
-        &self,
-        observed: &History,
-        keep: &[TxnId],
-        obs: &Obs,
-    ) -> PredictionOutcome {
-        self.predict_obs(&observed.restrict(keep, false), obs)
-    }
-
-    /// The approximate strategies: one solver call over the full encoding.
-    fn predict_approx(&self, observed: &History, obs: &Obs) -> PredictionOutcome {
-        // detlint: allow(wall-clock) — timings feed the non-deterministic
-        // report half (Prediction::constraint_gen_time), never the verdicts.
-        let gen_start = Instant::now();
-        let encode_span = obs.span("encode");
-        let encode_obs = encode_span.obs();
-        let mut encoder = Encoder::new(observed, self.config.strategy.boundary());
-        encoder.smt.set_preprocessing(self.config.preprocess);
-        let families = self.intern_families(&mut encoder.smt);
-        {
-            let _feasibility = encode_obs.span("feasibility");
-            encoder.smt.set_clause_family(families.feasibility);
-            encoder.encode_feasibility();
-            if self.config.require_change {
-                encoder.encode_require_change();
-            }
-        }
-        {
-            let _isolation = encode_obs.span("isolation");
-            encoder.smt.set_clause_family(families.isolation);
-            encoder.encode_isolation(self.config.isolation);
-        }
-        let symbols = {
-            let _unser = encode_obs.span("unserializability");
-            encoder.smt.set_clause_family(families.unserializability);
-            encoder.encode_approx_unserializability()
-        };
-        count_encoding_size(obs, &encoder.smt.solver_stats());
-        encode_span.finish();
-        let constraint_gen_time = gen_start.elapsed();
-        encoder.smt.set_conflict_budget(self.config.conflict_budget);
-        install_heartbeat_bridge(&mut encoder.smt, obs, self.config.heartbeat_every);
-
-        let before = encoder.smt.solver_stats();
-        let theory_before = encoder.smt.theory_stats();
-        // detlint: allow(wall-clock) — solving_time is non-deterministic-half data.
-        let solve_start = Instant::now();
-        let solve_span = obs.span("solve");
-        if self.config.preprocess {
-            let pp_span = solve_span.obs().span("preprocess");
-            encoder.smt.preprocess();
-            pp_span.finish();
-        }
-        let result = encoder.smt.check();
-        solve_span.label("result", smt_result_label(result));
-        solve_span.finish();
-        let solving_time = solve_start.elapsed();
-        count_solver_work(
-            obs,
-            &encoder.smt.solver_stats().diff(&before),
-            &encoder.smt.theory_stats().diff(&theory_before),
-        );
-
-        match result {
-            SmtResult::Unsat => PredictionOutcome::NoPrediction {
-                reason: NoPredictionReason::Unsatisfiable,
-            },
-            SmtResult::Unknown => PredictionOutcome::Unknown {
-                postmortem: Some(Box::new(encoder.smt.solver_postmortem())),
-            },
-            SmtResult::Sat => {
-                let (predicted, boundaries, changed_reads) = extract(&encoder, observed);
-                // Recover the pco cycle that witnesses unserializability.
-                let mut pco_graph = isopredict_history::graph::DiGraph::new(observed.len());
-                for (&(t1, t2), &term) in &symbols.pco {
-                    if encoder.smt.model_bool(term) == Some(true) {
-                        pco_graph.add_edge(t1, t2);
-                    }
-                }
-                let pco_cycle = pco_graph.find_cycle();
-                PredictionOutcome::Prediction(Box::new(Prediction {
-                    predicted,
-                    boundaries,
-                    changed_reads,
-                    isolation: self.config.isolation,
-                    strategy: self.config.strategy,
-                    stats: encoder.smt.stats(),
-                    constraint_gen_time,
-                    solving_time,
-                    pco_cycle,
-                }))
-            }
-        }
-    }
-
-    /// The exact strategy (Section 4.2.1). Z3's universally quantified
-    /// encoding ("no commit order serializes the candidate") is replaced by
-    /// a counterexample-guided loop: the solver proposes a feasible,
-    /// isolation-valid candidate, and the first one whose prefix history
-    /// admits no commit order is the prediction. A serializable candidate
-    /// comes with a witness commit order `σ`; the loop then asserts that
-    /// `σ` does not serialize the next candidate
+    /// Every strategy runs the same encode phase and the same solve loop.
+    /// The approximate strategies never refine: the first model is the
+    /// prediction, and its cyclic `pco` is the witness. The exact strategy
+    /// (Section 4.2.1) replaces Z3's universally quantified encoding ("no
+    /// commit order serializes the candidate") by a counterexample-guided
+    /// loop: the first candidate whose prefix history admits no commit
+    /// order is the prediction, and each serializable candidate's witness
+    /// commit order `σ` is asserted not to serialize the next one
     /// (`Encoder::witness_refinement`). That clause excludes every
-    /// candidate history `σ` serializes, so each refinement step removes a
-    /// whole class of candidates, and models that differ only past a
+    /// candidate `σ` serializes, so models that differ only past a
     /// session's boundary never come back.
     ///
     /// The formula is preprocessed once, under the first `solve` span.
@@ -254,51 +151,33 @@ impl Predictor {
     /// the SAT core maps them through its substitutions and restores any
     /// eliminated variable they mention, so later candidates cost a search,
     /// not another pass of the pipeline.
-    ///
-    /// The reported encoding size is taken before the loop: it is the
-    /// constraint system the paper's tables measure, and it does not depend
-    /// on which candidates the search happened to visit.
-    fn predict_exact(&self, observed: &History, obs: &Obs) -> PredictionOutcome {
-        // detlint: allow(wall-clock) — timings feed the non-deterministic
-        // report half (Prediction::constraint_gen_time), never the verdicts.
-        let gen_start = Instant::now();
-        let encode_span = obs.span("encode");
-        let encode_obs = encode_span.obs();
-        let mut encoder = Encoder::new(observed, self.config.strategy.boundary());
-        encoder.smt.set_preprocessing(self.config.preprocess);
-        let families = self.intern_families(&mut encoder.smt);
-        {
-            let _feasibility = encode_obs.span("feasibility");
-            encoder.smt.set_clause_family(families.feasibility);
-            encoder.encode_feasibility();
-            if self.config.require_change {
-                encoder.encode_require_change();
-            }
-        }
-        {
-            let _isolation = encode_obs.span("isolation");
-            encoder.smt.set_clause_family(families.isolation);
-            encoder.encode_isolation(self.config.isolation);
-        }
-        count_encoding_size(obs, &encoder.smt.solver_stats());
-        let stats = encoder.smt.stats();
-        encode_span.finish();
-        let constraint_gen_time = gen_start.elapsed();
+    #[must_use]
+    pub fn predict(&self, observed: &History, obs: &Obs) -> PredictionOutcome {
+        let Encoding {
+            mut encoder,
+            approx,
+            families,
+            stats,
+            constraint_gen_time,
+        } = self.encode(observed, obs);
         encoder.smt.set_conflict_budget(self.config.conflict_budget);
         install_heartbeat_bridge(&mut encoder.smt, obs, self.config.heartbeat_every);
 
+        let refines = self.config.strategy.is_exact();
         let mut solving_time = Duration::ZERO;
         let mut candidates_examined = 0usize;
-
         loop {
-            if candidates_examined >= self.config.max_exact_candidates {
+            if refines && candidates_examined >= self.config.max_exact_candidates {
                 return PredictionOutcome::Unknown {
                     postmortem: Some(Box::new(encoder.smt.solver_postmortem())),
                 };
             }
             let before = encoder.smt.solver_stats();
             let theory_before = encoder.smt.theory_stats();
-            // detlint: allow(wall-clock) — solving_time is non-deterministic-half data.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "solving_time is non-deterministic-half data"
+            )]
             let solve_start = Instant::now();
             let solve_span = obs.span("solve");
             if self.config.preprocess && candidates_examined == 0 {
@@ -331,46 +210,103 @@ impl Predictor {
                     return PredictionOutcome::NoPrediction { reason };
                 }
                 SmtResult::Sat => {
-                    candidates_examined += 1;
-                    obs.count("exact.candidates", 1);
                     let (predicted, boundaries, changed_reads) = extract(&encoder, observed);
-                    // detlint: allow(wall-clock) — non-deterministic-half timing.
-                    let check_start = Instant::now();
-                    let verdict = self
-                        .config
-                        .isolation
-                        .is_conformant(&predicted)
-                        .then(|| serializability::check(&predicted));
-                    solving_time += check_start.elapsed();
-                    let refinement = match verdict {
-                        Some(SerializabilityResult::Unserializable) => {
-                            return PredictionOutcome::Prediction(Box::new(Prediction {
-                                predicted,
-                                boundaries,
-                                changed_reads,
-                                isolation: self.config.isolation,
-                                strategy: self.config.strategy,
-                                stats,
-                                constraint_gen_time,
-                                solving_time,
-                                pco_cycle: None,
-                            }));
+                    if refines {
+                        candidates_examined += 1;
+                        obs.count("exact.candidates", 1);
+                        #[expect(
+                            clippy::disallowed_methods,
+                            reason = "solving_time is non-deterministic-half data"
+                        )]
+                        let check_start = Instant::now();
+                        let verdict = self
+                            .config
+                            .isolation
+                            .is_conformant(&predicted)
+                            .then(|| serializability::check(&predicted));
+                        solving_time += check_start.elapsed();
+                        let refinement = match verdict {
+                            Some(SerializabilityResult::Unserializable) => None,
+                            Some(SerializabilityResult::Serializable { witness }) => {
+                                Some(encoder.witness_refinement(&witness))
+                            }
+                            // The snapshot encoding is weaker than SI (see
+                            // `encode_snapshot`), so the exact checker has
+                            // the last word on conformance; a candidate it
+                            // rejects is ruled out alone.
+                            None => Some(encoder.candidate_exclusion()),
+                        };
+                        if let Some(refinement) = refinement {
+                            // The refinement clauses are the exact
+                            // strategy's unserializability condition.
+                            encoder.smt.set_clause_family(families.unserializability);
+                            encoder.smt.assert_term(refinement);
+                            continue;
                         }
-                        Some(SerializabilityResult::Serializable { witness }) => {
-                            encoder.witness_refinement(&witness)
+                    }
+                    let pco_cycle = approx.as_ref().and_then(|symbols| {
+                        let mut pco = isopredict_history::graph::DiGraph::new(observed.len());
+                        for (&(t1, t2), &term) in &symbols.pco {
+                            if encoder.smt.model_bool(term) == Some(true) {
+                                pco.add_edge(t1, t2);
+                            }
                         }
-                        // The snapshot encoding is weaker than SI (see
-                        // `encode_snapshot`), so the exact checker has the
-                        // last word on conformance; a candidate it rejects
-                        // is ruled out alone.
-                        None => encoder.candidate_exclusion(),
-                    };
-                    // The refinement clauses are the exact strategy's
-                    // unserializability condition, so tag them as such.
-                    encoder.smt.set_clause_family(families.unserializability);
-                    encoder.smt.assert_term(refinement);
+                        pco.find_cycle()
+                    });
+                    return PredictionOutcome::Prediction(Box::new(Prediction {
+                        predicted,
+                        boundaries,
+                        changed_reads,
+                        isolation: self.config.isolation,
+                        strategy: self.config.strategy,
+                        stats,
+                        constraint_gen_time,
+                        solving_time,
+                        pco_cycle,
+                    }));
                 }
             }
+        }
+    }
+
+    /// The encode phase shared by every strategy, under an `encode` span.
+    pub(crate) fn encode<'h>(&self, observed: &'h History, obs: &Obs) -> Encoding<'h> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "timings feed the non-deterministic report half \
+                      (Prediction::constraint_gen_time), never the verdicts"
+        )]
+        let gen_start = Instant::now();
+        let encode_span = obs.span("encode");
+        let encode_obs = encode_span.obs();
+        let mut encoder = Encoder::new(observed, self.config.strategy.boundary());
+        encoder.smt.set_preprocessing(self.config.preprocess);
+        let families = self.intern_families(&mut encoder.smt);
+        {
+            let _feasibility = encode_obs.span("feasibility");
+            encoder.smt.set_clause_family(families.feasibility);
+            encoder.encode_feasibility();
+            encoder.encode_require_change();
+        }
+        {
+            let _isolation = encode_obs.span("isolation");
+            encoder.smt.set_clause_family(families.isolation);
+            encoder.encode_isolation(self.config.isolation);
+        }
+        let approx = (!self.config.strategy.is_exact()).then(|| {
+            let _unser = encode_obs.span("unserializability");
+            encoder.smt.set_clause_family(families.unserializability);
+            encoder.encode_approx_unserializability()
+        });
+        let stats = encoder.smt.stats();
+        count_encoding_size(obs, &stats);
+        encode_span.finish();
+        Encoding {
+            encoder,
+            approx,
+            families,
+            stats,
+            constraint_gen_time: gen_start.elapsed(),
         }
     }
 
@@ -409,8 +345,11 @@ fn install_heartbeat_bridge(smt: &mut SmtSolver, obs: &Obs, every: u64) {
     let families: Vec<String> = smt.clause_families().to_vec();
     let mut last: Option<(Instant, u64)> = None;
     smt.set_heartbeat_hook(Some(Box::new(move |hb: &Heartbeat| {
-        // detlint: allow(wall-clock) — heartbeat rates are stream-only
-        // telemetry (the non-deterministic half); verdicts never read them.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "heartbeat rates are stream-only telemetry (the non-deterministic half); \
+                      verdicts never read them"
+        )]
         let now = Instant::now();
         let conflicts_per_sec = match last {
             Some((at, conflicts)) => {
@@ -450,7 +389,7 @@ fn smt_result_label(result: SmtResult) -> &'static str {
 }
 
 /// Records the size of a freshly built encoding (`encode.*` counters).
-fn count_encoding_size(obs: &Obs, stats: &SolverStats) {
+fn count_encoding_size(obs: &Obs, stats: &EncodingStats) {
     obs.count("encode.variables", stats.variables);
     obs.count("encode.clauses", stats.clauses);
     obs.count("encode.literals", stats.literals);
@@ -496,7 +435,7 @@ pub(crate) fn format_cycle(cycle: &[TxnId]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PredictorConfig;
+    use crate::config::{PredictorConfig, Strategy};
     use crate::encode::test_support::*;
     use isopredict_store::IsolationLevel;
 
@@ -511,7 +450,8 @@ mod tests {
     #[test]
     fn approx_relaxed_predicts_the_motivating_example() {
         let observed = chained_deposits();
-        let outcome = predictor(Strategy::ApproxRelaxed, IsolationLevel::Causal).predict(&observed);
+        let outcome = predictor(Strategy::ApproxRelaxed, IsolationLevel::Causal)
+            .predict(&observed, &Obs::off());
         let prediction = outcome.prediction().expect("prediction exists");
         assert!(!serializability::check(&prediction.predicted).is_serializable());
         assert!(isopredict_history::causal::is_causal(&prediction.predicted));
@@ -529,7 +469,8 @@ mod tests {
         // remaining prefix is serializable.
         let observed = chained_deposits();
         for strategy in [Strategy::ApproxStrict, Strategy::ExactStrict] {
-            let outcome = predictor(strategy, IsolationLevel::Causal).predict(&observed);
+            let outcome =
+                predictor(strategy, IsolationLevel::Causal).predict(&observed, &Obs::off());
             assert!(outcome.is_no_prediction(), "{strategy}: {outcome:?}");
         }
     }
@@ -540,13 +481,14 @@ mod tests {
         // prediction; the exact strategy (strict boundary) must agree with
         // Approx-Strict.
         let observed = deposit_withdraw_deposit();
-        let relaxed = predictor(Strategy::ApproxRelaxed, IsolationLevel::Causal).predict(&observed);
+        let relaxed = predictor(Strategy::ApproxRelaxed, IsolationLevel::Causal)
+            .predict(&observed, &Obs::off());
         assert!(relaxed.is_prediction(), "{relaxed:?}");
 
-        let approx_strict =
-            predictor(Strategy::ApproxStrict, IsolationLevel::Causal).predict(&observed);
-        let exact_strict =
-            predictor(Strategy::ExactStrict, IsolationLevel::Causal).predict(&observed);
+        let approx_strict = predictor(Strategy::ApproxStrict, IsolationLevel::Causal)
+            .predict(&observed, &Obs::off());
+        let exact_strict = predictor(Strategy::ExactStrict, IsolationLevel::Causal)
+            .predict(&observed, &Obs::off());
         assert_eq!(
             approx_strict.is_prediction(),
             exact_strict.is_prediction(),
@@ -557,13 +499,14 @@ mod tests {
     #[test]
     fn voter_like_histories_have_rc_predictions_but_no_causal_ones() {
         let observed = single_writer_history();
-        let causal = predictor(Strategy::ApproxRelaxed, IsolationLevel::Causal).predict(&observed);
+        let causal = predictor(Strategy::ApproxRelaxed, IsolationLevel::Causal)
+            .predict(&observed, &Obs::off());
         assert!(causal.is_no_prediction());
         // A single read per reader is not enough for an rc anomaly either; the
         // paper's Voter transactions read several keys, which the workload
         // crate models. Here we simply check rc is at least as permissive.
-        let rc =
-            predictor(Strategy::ApproxRelaxed, IsolationLevel::ReadCommitted).predict(&observed);
+        let rc = predictor(Strategy::ApproxRelaxed, IsolationLevel::ReadCommitted)
+            .predict(&observed, &Obs::off());
         assert!(rc.is_no_prediction() || rc.is_prediction());
     }
 
@@ -571,7 +514,8 @@ mod tests {
     fn predictions_conform_to_the_requested_isolation_level() {
         let observed = deposit_withdraw_deposit();
         for isolation in IsolationLevel::ALL {
-            let outcome = predictor(Strategy::ApproxRelaxed, isolation).predict(&observed);
+            let outcome =
+                predictor(Strategy::ApproxRelaxed, isolation).predict(&observed, &Obs::off());
             if let Some(prediction) = outcome.prediction() {
                 assert!(
                     isolation.is_conformant(&prediction.predicted),
@@ -591,12 +535,15 @@ mod tests {
         // a lost update, which first-committer-wins forbids — while causal
         // still predicts one (the racing deposits).
         let observed = chained_deposits();
-        let causal = predictor(Strategy::ApproxRelaxed, IsolationLevel::Causal).predict(&observed);
+        let causal = predictor(Strategy::ApproxRelaxed, IsolationLevel::Causal)
+            .predict(&observed, &Obs::off());
         assert!(causal.is_prediction());
-        let si = predictor(Strategy::ApproxRelaxed, IsolationLevel::Snapshot).predict(&observed);
+        let si = predictor(Strategy::ApproxRelaxed, IsolationLevel::Snapshot)
+            .predict(&observed, &Obs::off());
         assert!(si.is_no_prediction(), "{si:?}");
         let longer = deposit_withdraw_deposit();
-        let si = predictor(Strategy::ApproxRelaxed, IsolationLevel::Snapshot).predict(&longer);
+        let si = predictor(Strategy::ApproxRelaxed, IsolationLevel::Snapshot)
+            .predict(&longer, &Obs::off());
         assert!(si.is_no_prediction(), "{si:?}");
     }
 
@@ -620,8 +567,8 @@ mod tests {
         b.commit(t2);
         let observed = b.finish();
 
-        let outcome =
-            predictor(Strategy::ApproxRelaxed, IsolationLevel::Snapshot).predict(&observed);
+        let outcome = predictor(Strategy::ApproxRelaxed, IsolationLevel::Snapshot)
+            .predict(&observed, &Obs::off());
         let prediction = outcome.prediction().expect("write skew must be predicted");
         assert!(isopredict_history::si::is_si(&prediction.predicted));
         assert!(!serializability::check(&prediction.predicted).is_serializable());
@@ -635,8 +582,8 @@ mod tests {
         let observed = chained_deposits();
         let keep: Vec<TxnId> = observed.committed_transactions().map(|t| t.id).collect();
         let predictor = predictor(Strategy::ApproxRelaxed, IsolationLevel::Causal);
-        let whole = predictor.predict(&observed);
-        let restricted = predictor.predict_restricted(&observed, &keep);
+        let whole = predictor.predict(&observed, &Obs::off());
+        let restricted = predictor.predict(&observed.restrict(&keep, false), &Obs::off());
         assert_eq!(whole.is_prediction(), restricted.is_prediction());
         if let (Some(a), Some(b)) = (whole.prediction(), restricted.prediction()) {
             assert_eq!(a.changed_reads, b.changed_reads);
@@ -652,7 +599,7 @@ mod tests {
         let obs = registry.obs();
         let root = obs.span("predict");
         let outcome = predictor(Strategy::ApproxRelaxed, IsolationLevel::Causal)
-            .predict_obs(&observed, root.obs());
+            .predict(&observed, root.obs());
         assert!(outcome.is_prediction());
         let root_id = root.id().expect("enabled");
         root.finish();
@@ -684,14 +631,15 @@ mod tests {
     fn preprocessing_does_not_change_outcomes_or_predictions() {
         for observed in [chained_deposits(), deposit_withdraw_deposit()] {
             for isolation in IsolationLevel::ALL {
-                let on = predictor(Strategy::ApproxRelaxed, isolation).predict(&observed);
+                let on =
+                    predictor(Strategy::ApproxRelaxed, isolation).predict(&observed, &Obs::off());
                 let off = Predictor::new(PredictorConfig {
                     strategy: Strategy::ApproxRelaxed,
                     isolation,
                     preprocess: false,
                     ..PredictorConfig::default()
                 })
-                .predict(&observed);
+                .predict(&observed, &Obs::off());
                 assert_eq!(
                     on.is_prediction(),
                     off.is_prediction(),
@@ -716,8 +664,7 @@ mod tests {
         let observed = deposit_withdraw_deposit();
         let registry = Registry::new();
         let obs = registry.obs();
-        let _ =
-            predictor(Strategy::ExactStrict, IsolationLevel::Causal).predict_obs(&observed, &obs);
+        let _ = predictor(Strategy::ExactStrict, IsolationLevel::Causal).predict(&observed, &obs);
         let snapshot = registry.snapshot();
         // Every sat solver answer examined one candidate.
         let sat_solves = snapshot
@@ -742,7 +689,7 @@ mod tests {
         let obs = registry.obs();
         let root = obs.span("predict");
         let outcome = predictor(Strategy::ExactStrict, IsolationLevel::ReadCommitted)
-            .predict_obs(&observed, root.obs());
+            .predict(&observed, root.obs());
         assert!(outcome.is_prediction());
         let root_id = root.id().expect("enabled");
         root.finish();
@@ -756,6 +703,37 @@ mod tests {
     }
 
     #[test]
+    fn encoding_size_is_one_snapshot_taken_after_encoding() {
+        use isopredict_obs::Registry;
+
+        // Under read committed every strategy predicts, and Exact-Strict
+        // refines at least once first, so its refinement clauses would show
+        // in a snapshot taken any later than the encode phase.
+        let observed = deposit_withdraw_deposit();
+        for strategy in Strategy::all() {
+            let registry = Registry::new();
+            let outcome = predictor(strategy, IsolationLevel::ReadCommitted)
+                .predict(&observed, &registry.obs());
+            let prediction = outcome.prediction().expect("prediction exists");
+            let snapshot = registry.snapshot();
+            if strategy.is_exact() {
+                let candidates = snapshot.counter("exact.candidates");
+                assert!(candidates >= 2, "examined {candidates} candidate(s)");
+            }
+            assert_eq!(
+                prediction.stats.literals,
+                snapshot.counter("encode.literals"),
+                "{strategy}"
+            );
+            assert_eq!(prediction.stats.clauses, snapshot.counter("encode.clauses"));
+            assert_eq!(
+                prediction.stats.variables,
+                snapshot.counter("encode.variables")
+            );
+        }
+    }
+
+    #[test]
     fn tiny_conflict_budget_reports_unknown() {
         let observed = deposit_withdraw_deposit();
         let predictor = Predictor::new(PredictorConfig {
@@ -764,7 +742,7 @@ mod tests {
             conflict_budget: Some(1),
             ..PredictorConfig::default()
         });
-        let outcome = predictor.predict(&observed);
+        let outcome = predictor.predict(&observed, &Obs::off());
         assert!(outcome.is_unknown() || outcome.is_prediction());
         if outcome.is_unknown() {
             let pm = outcome.postmortem().expect("unknown carries a post-mortem");
@@ -781,7 +759,7 @@ mod tests {
             max_exact_candidates: 0,
             ..PredictorConfig::default()
         });
-        let outcome = exact.predict(&observed);
+        let outcome = exact.predict(&observed, &Obs::off());
         assert!(outcome.is_unknown());
         let pm = outcome.postmortem().expect("unknown carries a post-mortem");
         assert_eq!(pm.attribution.total_conflicts(), pm.stats.conflicts);
@@ -793,7 +771,8 @@ mod tests {
             );
         }
         // A non-unknown outcome exposes no post-mortem.
-        let sat = predictor(Strategy::ApproxRelaxed, IsolationLevel::Causal).predict(&observed);
+        let sat = predictor(Strategy::ApproxRelaxed, IsolationLevel::Causal)
+            .predict(&observed, &Obs::off());
         assert!(sat.postmortem().is_none());
     }
 
@@ -811,7 +790,7 @@ mod tests {
             preprocess: false,
             ..PredictorConfig::default()
         });
-        let outcome = predictor.predict_obs(&observed, &registry.obs());
+        let outcome = predictor.predict(&observed, &registry.obs());
         assert!(!outcome.is_unknown());
         registry.flush();
         let summary = validate_stream(&sink.contents()).expect("stream validates");

@@ -136,15 +136,13 @@ pub(crate) fn extract(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::BoundaryKind;
-    use crate::encode::test_support::chained_deposits;
+    use crate::encode::test_support::{chained_deposits, encoded};
     use isopredict_smt::SmtResult;
 
     #[test]
     fn extraction_reports_the_changed_read_and_prefix() {
         let observed = chained_deposits();
-        let mut encoder = Encoder::new(&observed, BoundaryKind::Relaxed);
-        encoder.encode_all(IsolationLevel::Causal, true, true);
+        let mut encoder = encoded(&observed, Strategy::ApproxRelaxed, IsolationLevel::Causal);
         assert_eq!(encoder.smt.check(), SmtResult::Sat);
 
         let (predicted, boundaries, changed) = extract(&encoder, &observed);

@@ -100,6 +100,7 @@ mod tests {
     use crate::config::{PredictorConfig, Strategy};
     use crate::encode::test_support::chained_deposits;
     use crate::predict::Predictor;
+    use isopredict_obs::Obs;
     use isopredict_store::IsolationLevel;
 
     fn example() -> (History, Prediction) {
@@ -109,7 +110,7 @@ mod tests {
             isolation: IsolationLevel::Causal,
             ..PredictorConfig::default()
         });
-        let prediction = match predictor.predict(&observed) {
+        let prediction = match predictor.predict(&observed, &Obs::off()) {
             crate::PredictionOutcome::Prediction(p) => *p,
             other => panic!("expected a prediction, got {other:?}"),
         };

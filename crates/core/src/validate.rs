@@ -143,6 +143,7 @@ mod tests {
     use crate::encode::test_support::chained_deposits;
     use crate::predict::Predictor;
     use isopredict_history::SessionId;
+    use isopredict_obs::Obs;
     use isopredict_store::IsolationLevel as Iso;
 
     fn example_prediction() -> Prediction {
@@ -152,7 +153,7 @@ mod tests {
             isolation: Iso::Causal,
             ..PredictorConfig::default()
         });
-        match predictor.predict(&observed) {
+        match predictor.predict(&observed, &Obs::off()) {
             crate::PredictionOutcome::Prediction(p) => *p,
             other => panic!("expected a prediction, got {other:?}"),
         }

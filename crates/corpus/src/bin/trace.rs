@@ -22,6 +22,8 @@
 //! that cannot be opened, a rejected import, a failed verification) exit
 //! with status 1.
 
+#![warn(clippy::iter_over_hash_type)]
+
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -236,8 +238,11 @@ fn record(
                 );
                 continue;
             }
-            // detlint: allow(wall-clock) — record_us is provenance metadata,
-            // not part of the canonical (content-addressed) trace bytes.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "record_us is provenance metadata, not part of the canonical \
+                          (content-addressed) trace bytes"
+            )]
             let start = Instant::now();
             let output = run(
                 benchmark,

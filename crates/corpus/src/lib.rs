@@ -54,6 +54,7 @@
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
+#![warn(clippy::iter_over_hash_type)]
 
 pub mod corpus;
 pub mod hash;

@@ -128,6 +128,10 @@ impl KeyComponents {
             }
             by_root.entry(uf.find(txn.id.0)).or_default().push(txn.id);
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the components are sorted below, so the HashMap order cannot leak"
+        )]
         let mut components: Vec<Vec<TxnId>> = by_root.into_values().collect();
         for component in &mut components {
             component.sort_unstable();

@@ -46,6 +46,7 @@
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
+#![warn(clippy::iter_over_hash_type)]
 
 pub mod causal;
 pub mod connectivity;

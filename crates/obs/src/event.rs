@@ -3,7 +3,7 @@
 //! A run with a sink attached emits one JSON object per line:
 //!
 //! ```json
-//! {"type": "run_start", "schema": 1}
+//! {"type": "run_start", "schema": 2}
 //! {"type": "span_start", "seq": 1, "id": 0, "parent": null, "name": "campaign", "at_us": 2, "labels": []}
 //! {"type": "counter", "seq": 2, "name": "solver.conflicts", "delta": 42, "total": 42}
 //! {"type": "gauge", "seq": 3, "name": "workers", "value": 4}
@@ -21,12 +21,9 @@ use serde::{Deserialize, Serialize};
 /// Version of the JSONL schema, carried by the `run_start` event.
 ///
 /// v2 added the `heartbeat` event kind (solver progress samples with
-/// per-family conflict attribution). v1 streams are still accepted by
-/// [`validate_stream`] read-only; they may not contain v2-only event kinds.
+/// per-family conflict attribution). [`validate_stream`] accepts this
+/// version only.
 pub const SCHEMA_VERSION: u64 = 2;
-
-/// Oldest schema version [`validate_stream`] still accepts.
-pub const MIN_SCHEMA_VERSION: u64 = 1;
 
 /// One span label on the wire.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -189,13 +186,11 @@ pub struct StreamSummary {
 }
 
 /// Validates a JSONL event stream against the schema and its structural
-/// invariants: the first line is a `run_start` with a supported schema
-/// version (v1 streams are accepted read-only), every line parses and names a
-/// known event kind, sequence numbers strictly increase, span ids are unique,
-/// parents and ends refer to spans that already started, no span ends twice,
-/// and heartbeat conflict partitions sum to their conflict counts. v2-only
-/// event kinds inside a stream that declared schema 1 are rejected. Returns a
-/// content summary on success.
+/// invariants: the first line is a `run_start` declaring [`SCHEMA_VERSION`],
+/// every line parses and names a known event kind, sequence numbers strictly
+/// increase, span ids are unique, parents and ends refer to spans that
+/// already started, no span ends twice, and heartbeat conflict partitions
+/// sum to their conflict counts. Returns a content summary on success.
 ///
 /// # Errors
 ///
@@ -230,15 +225,13 @@ pub fn validate_stream(text: &str) -> Result<StreamSummary, StreamError> {
         summary.events += 1;
         if index == 0 {
             match event {
-                ObsEvent::RunStart { schema }
-                    if (MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&schema) =>
-                {
+                ObsEvent::RunStart { schema } if schema == SCHEMA_VERSION => {
                     summary.schema = schema;
                     continue;
                 }
                 ObsEvent::RunStart { schema } => {
                     return Err(error(format!(
-                        "unsupported schema version {schema} (expected {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION})"
+                        "unsupported schema version {schema} (expected {SCHEMA_VERSION})"
                     )))
                 }
                 _ => return Err(error("stream must begin with run_start".to_string())),
@@ -293,12 +286,6 @@ pub fn validate_stream(text: &str) -> Result<StreamSummary, StreamError> {
                 conflicts_by_family,
                 ..
             } => {
-                if summary.schema < 2 {
-                    return Err(error(format!(
-                        "heartbeat events require schema 2, but the stream declared schema {}",
-                        summary.schema
-                    )));
-                }
                 if families.len() != conflicts_by_family.len() {
                     return Err(error(format!(
                         "heartbeat names {} families but carries {} conflict counts",
@@ -394,7 +381,7 @@ mod tests {
     #[test]
     fn valid_stream_summarizes() {
         let text = stream(&[
-            r#"{"type": "run_start", "schema": 1}"#,
+            r#"{"type": "run_start", "schema": 2}"#,
             r#"{"type": "span_start", "seq": 1, "id": 0, "parent": null, "name": "a", "at_us": 0, "labels": []}"#,
             r#"{"type": "span_start", "seq": 2, "id": 1, "parent": 0, "name": "b", "at_us": 1, "labels": []}"#,
             r#"{"type": "counter", "seq": 3, "name": "c", "delta": 1, "total": 1}"#,
@@ -417,7 +404,7 @@ mod tests {
             .contains("run_start"));
 
         let unknown_parent = stream(&[
-            r#"{"type": "run_start", "schema": 1}"#,
+            r#"{"type": "run_start", "schema": 2}"#,
             r#"{"type": "span_start", "seq": 1, "id": 0, "parent": 7, "name": "a", "at_us": 0, "labels": []}"#,
         ]);
         let error = validate_stream(&unknown_parent).unwrap_err();
@@ -425,7 +412,7 @@ mod tests {
         assert!(error.message.contains("unknown parent"));
 
         let stale_seq = stream(&[
-            r#"{"type": "run_start", "schema": 1}"#,
+            r#"{"type": "run_start", "schema": 2}"#,
             r#"{"type": "gauge", "seq": 2, "name": "g", "value": 1}"#,
             r#"{"type": "gauge", "seq": 2, "name": "g", "value": 2}"#,
         ]);
@@ -434,7 +421,7 @@ mod tests {
             .message
             .contains("does not increase"));
 
-        let garbage = stream(&[r#"{"type": "run_start", "schema": 1}"#, "not json"]);
+        let garbage = stream(&[r#"{"type": "run_start", "schema": 2}"#, "not json"]);
         assert_eq!(validate_stream(&garbage).unwrap_err().line, 2);
 
         assert!(validate_stream("").unwrap_err().message.contains("empty"));
@@ -442,34 +429,14 @@ mod tests {
 
     #[test]
     fn future_schema_versions_are_rejected() {
-        let text = r#"{"type": "run_start", "schema": 999}"#;
-        assert!(validate_stream(text)
-            .unwrap_err()
-            .message
-            .contains("unsupported schema"));
-    }
-
-    #[test]
-    fn v1_streams_are_accepted_read_only() {
-        let text = stream(&[
-            r#"{"type": "run_start", "schema": 1}"#,
-            r#"{"type": "gauge", "seq": 1, "name": "workers", "value": 2}"#,
-        ]);
-        let summary = validate_stream(&text).expect("v1 stays readable");
-        assert_eq!(summary.schema, 1);
-        assert_eq!(summary.heartbeats, 0);
-    }
-
-    #[test]
-    fn heartbeats_inside_a_v1_stream_are_rejected() {
-        let hb = r#"{"type": "heartbeat", "seq": 1, "at_us": 5, "hb_seq": 1, "conflicts": 2, "conflicts_per_sec": 1.0, "restarts": 0, "trail_depth": 1, "learnt_clauses": 0, "vars_assigned_at_root": 0, "total_vars": 4, "families": ["default"], "conflicts_by_family": [2]}"#;
-        let text = stream(&[r#"{"type": "run_start", "schema": 1}"#, hb]);
-        let error = validate_stream(&text).unwrap_err();
-        assert_eq!(error.line, 2);
-        assert!(error.message.contains("require schema 2"));
-
-        let ok = stream(&[r#"{"type": "run_start", "schema": 2}"#, hb]);
-        assert_eq!(validate_stream(&ok).expect("v2 allows it").heartbeats, 1);
+        // Schema 1 predates heartbeats and has no producer left.
+        for schema in [1, 999] {
+            let text = format!(r#"{{"type": "run_start", "schema": {schema}}}"#);
+            assert!(validate_stream(&text)
+                .unwrap_err()
+                .message
+                .contains("unsupported schema"));
+        }
     }
 
     #[test]

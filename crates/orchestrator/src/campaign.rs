@@ -42,7 +42,7 @@ use crate::report::{
     outcome_name, CampaignReport, CampaignSummary, CampaignTiming, PostmortemRecord,
     ProvenanceRecord, TaskRecord,
 };
-use crate::shard::{ShardPlan, ShardPolicy, ShardUnit};
+use crate::shard::{ShardPlan, ShardPolicy};
 use crate::worker::WorkerPool;
 
 /// Runtime options of a campaign: parallelism, budgets, sharding.
@@ -319,12 +319,8 @@ impl Campaign {
                 heartbeat_every: options.heartbeat_every,
                 ..PredictorConfig::default()
             });
-            let outcome = match unit {
-                ShardUnit::Whole => predictor.predict_obs(&observation.history, unit_span.obs()),
-                ShardUnit::Component { txns, .. } => {
-                    predictor.predict_restricted_obs(&observation.history, txns, unit_span.obs())
-                }
-            };
+            let history = observation.plan.history_for(&observation.history, unit);
+            let outcome = predictor.predict(&history, unit_span.obs());
             (outcome, busy.elapsed())
         });
         predict_span.finish();

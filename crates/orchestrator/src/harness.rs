@@ -67,57 +67,18 @@ pub fn record_observed(benchmark: Benchmark, config: &WorkloadConfig) -> RunOutp
 }
 
 /// Runs the full pipeline — record an observed execution, predict, validate —
-/// for one benchmark, seed, strategy and isolation level.
+/// for one benchmark, seed, strategy and isolation level, reporting
+/// telemetry through `obs` ([`Obs::off`] for none): `record`, `predict`
+/// (nesting the predictor's `encode`/`solve` spans) and `validate` phase
+/// spans, the latter labelled with the experiment outcome.
+///
+/// With a corpus, the record phase is record-or-load: an observed execution
+/// already on disk is loaded (skipping the recording) and a fresh recording
+/// is persisted for next time. Either way the analysis runs on the history
+/// rebuilt from the canonical trace, so the result is identical whether the
+/// trace was recorded this run or loaded from disk.
 #[must_use]
 pub fn run_experiment(
-    benchmark: Benchmark,
-    config: &WorkloadConfig,
-    strategy: Strategy,
-    isolation: IsolationLevel,
-    conflict_budget: Option<u64>,
-) -> ExperimentResult {
-    run_experiment_in(
-        benchmark,
-        config,
-        strategy,
-        isolation,
-        conflict_budget,
-        None,
-    )
-}
-
-/// Like [`run_experiment`], but record-or-load: with a corpus, an observed
-/// execution already on disk is loaded (skipping the record phase) and a
-/// fresh recording is persisted for next time.
-///
-/// Either way the analysis runs on the history rebuilt from the canonical
-/// trace, so the result is identical whether the trace was recorded this run
-/// or loaded from disk.
-#[must_use]
-pub fn run_experiment_in(
-    benchmark: Benchmark,
-    config: &WorkloadConfig,
-    strategy: Strategy,
-    isolation: IsolationLevel,
-    conflict_budget: Option<u64>,
-    corpus: Option<&Corpus>,
-) -> ExperimentResult {
-    run_experiment_observed(
-        benchmark,
-        config,
-        strategy,
-        isolation,
-        conflict_budget,
-        corpus,
-        &Obs::off(),
-    )
-}
-
-/// Like [`run_experiment_in`], reporting telemetry through `obs`: `record`,
-/// `predict` (nesting the predictor's `encode`/`solve` spans) and `validate`
-/// phase spans, the latter labelled with the experiment outcome.
-#[must_use]
-pub fn run_experiment_observed(
     benchmark: Benchmark,
     config: &WorkloadConfig,
     strategy: Strategy,
@@ -142,7 +103,7 @@ pub fn run_experiment_observed(
         ..PredictorConfig::default()
     });
     let predict_span = obs.span("predict");
-    let outcome = predictor.predict_obs(&observed_history, predict_span.obs());
+    let outcome = predictor.predict(&observed_history, predict_span.obs());
     predict_span.finish();
 
     let validate_span = obs.span("validate");
@@ -220,6 +181,8 @@ mod tests {
             Strategy::ApproxRelaxed,
             IsolationLevel::ReadCommitted,
             Some(2_000_000),
+            None,
+            &Obs::off(),
         );
         assert!(
             matches!(
@@ -247,6 +210,8 @@ mod tests {
             Strategy::ApproxRelaxed,
             IsolationLevel::Causal,
             Some(2_000_000),
+            None,
+            &Obs::off(),
         );
         assert_eq!(result.outcome, ExperimentOutcome::NoPrediction);
     }

@@ -11,6 +11,8 @@
 //! * a shard that exhausted its solver budget makes the merged verdict
 //!   `Unknown` (unless another shard already found a prediction).
 
+#![warn(clippy::disallowed_methods, clippy::iter_over_hash_type)]
+
 use std::time::Duration;
 
 use isopredict::{NoPredictionReason, Prediction, PredictionOutcome};
@@ -39,8 +41,6 @@ fn add_stats(total: &mut EncodingStats, other: &EncodingStats) {
     total.clauses += other.clauses;
     total.literals += other.literals;
     total.terms += other.terms;
-    total.conflicts += other.conflicts;
-    total.decisions += other.decisions;
 }
 
 /// Lifts a component-restricted prediction back into the full observed
@@ -184,8 +184,8 @@ pub fn merge_outcomes<O: std::borrow::Borrow<PredictionOutcome>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::{ShardPlan, ShardPolicy, ShardUnit};
-    use isopredict::{IsolationLevel, Predictor, PredictorConfig, Strategy};
+    use crate::shard::{ShardPlan, ShardPolicy};
+    use isopredict::{IsolationLevel, Obs, Predictor, PredictorConfig, Strategy};
     use isopredict_history::{serializability, HistoryBuilder, TxnId};
 
     /// Two key-disjoint racing-deposit pairs: both components admit causal
@@ -226,10 +226,7 @@ mod tests {
         let outcomes: Vec<PredictionOutcome> = plan
             .units
             .iter()
-            .map(|unit| match unit {
-                ShardUnit::Component { txns, .. } => predictor.predict_restricted(&observed, txns),
-                ShardUnit::Whole => predictor.predict(&observed),
-            })
+            .map(|unit| predictor.predict(&plan.history_for(&observed, unit), &Obs::off()))
             .collect();
 
         let merged = merge_outcomes(&observed, &outcomes, plan.sharded);
@@ -247,6 +244,7 @@ mod tests {
     #[test]
     fn merged_verdict_classes_follow_the_lattice() {
         let observed = double_racing_deposits();
+        let plan = ShardPlan::new(&observed, ShardPolicy::Always);
         let unsat = || PredictionOutcome::NoPrediction {
             reason: NoPredictionReason::Unsatisfiable,
         };
@@ -266,7 +264,7 @@ mod tests {
             &observed,
             &[
                 PredictionOutcome::Unknown { postmortem: None },
-                predictor().predict_restricted(&observed, &[TxnId(3), TxnId(4)]),
+                predictor().predict(&plan.history_for(&observed, &plan.units[1]), &Obs::off()),
             ],
             true,
         );
@@ -280,7 +278,7 @@ mod tests {
     #[test]
     fn whole_unit_outcomes_pass_through_unembedded() {
         let observed = double_racing_deposits();
-        let whole = predictor().predict(&observed);
+        let whole = predictor().predict(&observed, &Obs::off());
         assert!(whole.is_prediction());
         let reads_before = whole.prediction().unwrap().predicted.num_reads();
         let merged = merge_outcomes(&observed, &[whole], false);

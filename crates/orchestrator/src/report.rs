@@ -13,6 +13,8 @@
 //!   (`recorded` vs `corpus`) depends on what happens to be on disk, not on
 //!   the campaign specification.
 
+#![warn(clippy::disallowed_methods, clippy::iter_over_hash_type)]
+
 use isopredict_obs::MetricsSection;
 use isopredict_smt::SolverPostmortem;
 use serde::{Deserialize, Serialize};

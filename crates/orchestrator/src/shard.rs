@@ -16,6 +16,10 @@
 //! [`ShardPolicy::Auto`] therefore falls back to whole-history analysis
 //! above a dominance threshold.
 
+#![warn(clippy::disallowed_methods, clippy::iter_over_hash_type)]
+
+use std::borrow::Cow;
+
 use isopredict_history::{connectivity::KeyComponents, History, TxnId};
 
 /// When to shard a history.
@@ -109,13 +113,20 @@ impl ShardPlan {
         }
     }
 
-    /// The history each unit analyzes: the original for [`ShardUnit::Whole`],
-    /// a lossless component restriction otherwise.
+    /// The history each unit analyzes: the original, borrowed, for
+    /// [`ShardUnit::Whole`]; the restriction to the component otherwise.
+    ///
+    /// A restriction keeps the original transaction identifiers, session
+    /// identifiers and event positions, so a prediction over it merges back
+    /// into the whole history losslessly ([`crate::merge::embed`]). It is
+    /// sound because components are closed under communication: no kept
+    /// transaction shares a key or a session with a dropped one, so no read
+    /// loses its writer and the analyzed application behavior is unchanged.
     #[must_use]
-    pub fn history_for(&self, observed: &History, unit: &ShardUnit) -> History {
+    pub fn history_for<'h>(&self, observed: &'h History, unit: &ShardUnit) -> Cow<'h, History> {
         match unit {
-            ShardUnit::Whole => observed.clone(),
-            ShardUnit::Component { txns, .. } => observed.restrict(txns, false),
+            ShardUnit::Whole => Cow::Borrowed(observed),
+            ShardUnit::Component { txns, .. } => Cow::Owned(observed.restrict(txns, false)),
         }
     }
 
@@ -206,7 +217,12 @@ mod tests {
         assert!(!plan.sharded);
         assert_eq!(plan.units, vec![ShardUnit::Whole]);
         assert_eq!(plan.components.len(), 3);
-        assert_eq!(plan.history_for(&history, &plan.units[0]), history);
+        let whole = plan.history_for(&history, &plan.units[0]);
+        assert!(
+            matches!(whole, Cow::Borrowed(_)),
+            "the whole unit is not cloned"
+        );
+        assert_eq!(*whole, history);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 
-use isopredict::{IsolationLevel, PredictionOutcome, Predictor, PredictorConfig, Strategy};
+use isopredict::{IsolationLevel, Obs, PredictionOutcome, Predictor, PredictorConfig, Strategy};
 use isopredict_corpus::{testutil::scratch_dir, Corpus, LoadedTrace};
 use isopredict_history::TraceMeta;
 use isopredict_orchestrator::{Campaign, CampaignOptions};
@@ -144,7 +144,7 @@ fn imported_external_traces_flow_into_the_analyzer() {
         isolation: IsolationLevel::Causal,
         ..PredictorConfig::default()
     });
-    let outcome = predictor.predict(&loaded.history);
+    let outcome = predictor.predict(&loaded.history, &Obs::off());
     // The classic racing-deposit anomaly: both transactions reading the
     // initial balance is causally consistent but unserializable, so the
     // predictor must find it in the imported history.

@@ -9,9 +9,9 @@
 use proptest::prelude::*;
 
 use isopredict::Strategy as PredictionStrategy;
-use isopredict::{IsolationLevel, PredictionOutcome, Predictor, PredictorConfig};
+use isopredict::{IsolationLevel, Obs, PredictionOutcome, Predictor, PredictorConfig};
 use isopredict_history::{serializability, History, HistoryBuilder, TxnId};
-use isopredict_orchestrator::{merge_outcomes, ShardPlan, ShardPolicy, ShardUnit};
+use isopredict_orchestrator::{merge_outcomes, ShardPlan, ShardPolicy};
 
 /// Builds one serializable-by-construction component on its own sessions and
 /// keys: every read observes the latest committed write, as the recording
@@ -98,16 +98,11 @@ proptest! {
                 ..PredictorConfig::default()
             });
 
-            let whole = predictor.predict(&observed);
+            let whole = predictor.predict(&observed, &Obs::off());
             let per_unit: Vec<PredictionOutcome> = plan
                 .units
                 .iter()
-                .map(|unit| match unit {
-                    ShardUnit::Whole => predictor.predict(&observed),
-                    ShardUnit::Component { txns, .. } => {
-                        predictor.predict_restricted(&observed, txns)
-                    }
-                })
+                .map(|unit| predictor.predict(&plan.history_for(&observed, unit), &Obs::off()))
                 .collect();
             let merged = merge_outcomes(&observed, &per_unit, plan.sharded);
 

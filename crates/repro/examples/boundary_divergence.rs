@@ -9,7 +9,7 @@
 //!
 //! Run with `cargo run --example boundary_divergence`.
 
-use isopredict::{report, IsolationLevel, Predictor, PredictorConfig, Strategy};
+use isopredict::{report, IsolationLevel, Obs, Predictor, PredictorConfig, Strategy};
 use isopredict_history::{HistoryBuilder, TxnId};
 
 fn main() {
@@ -43,7 +43,7 @@ fn main() {
             isolation: IsolationLevel::Causal,
             ..PredictorConfig::default()
         });
-        match predictor.predict(&observed) {
+        match predictor.predict(&observed, &Obs::off()) {
             isopredict::PredictionOutcome::Prediction(prediction) => {
                 println!("{}", report::text_report(&observed, &prediction));
                 println!(

@@ -7,7 +7,9 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use isopredict::{report, IsolationLevel, PredictionOutcome, Predictor, PredictorConfig, Strategy};
+use isopredict::{
+    report, IsolationLevel, Obs, PredictionOutcome, Predictor, PredictorConfig, Strategy,
+};
 use isopredict_history::{serializability, HistoryBuilder, TxnId};
 
 fn main() {
@@ -44,7 +46,7 @@ fn main() {
         ..PredictorConfig::default()
     });
 
-    match predictor.predict(&observed) {
+    match predictor.predict(&observed, &Obs::off()) {
         PredictionOutcome::Prediction(prediction) => {
             println!("\n{}", report::text_report(&observed, &prediction));
             println!("Graphviz rendering of the predicted execution:\n");

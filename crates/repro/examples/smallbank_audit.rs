@@ -5,7 +5,7 @@
 //! Run with `cargo run --release --example smallbank_audit`.
 
 use isopredict::{
-    report, validate, IsolationLevel, PredictionOutcome, Predictor, PredictorConfig, Strategy,
+    report, validate, IsolationLevel, Obs, PredictionOutcome, Predictor, PredictorConfig, Strategy,
 };
 use isopredict_store::StoreMode;
 use isopredict_workloads::{run, Benchmark, Schedule, WorkloadConfig};
@@ -37,7 +37,7 @@ fn main() {
         isolation: IsolationLevel::Causal,
         ..PredictorConfig::default()
     });
-    let prediction = match predictor.predict(&observed.history) {
+    let prediction = match predictor.predict(&observed.history, &Obs::off()) {
         PredictionOutcome::Prediction(p) => p,
         PredictionOutcome::NoPrediction { reason } => {
             println!("no prediction for this seed ({reason:?}); try another seed");

@@ -8,7 +8,7 @@
 //!
 //! Run with `cargo run --release --example voter_rc`.
 
-use isopredict::{IsolationLevel, Predictor, PredictorConfig, Strategy};
+use isopredict::{IsolationLevel, Obs, Predictor, PredictorConfig, Strategy};
 use isopredict_store::StoreMode;
 use isopredict_workloads::{run, Benchmark, Schedule, WorkloadConfig};
 
@@ -36,13 +36,13 @@ fn main() {
             isolation: IsolationLevel::Causal,
             ..PredictorConfig::default()
         })
-        .predict(&observed.history);
+        .predict(&observed.history, &Obs::off());
         let rc = Predictor::new(PredictorConfig {
             strategy: Strategy::ApproxRelaxed,
             isolation: IsolationLevel::ReadCommitted,
             ..PredictorConfig::default()
         })
-        .predict(&observed.history);
+        .predict(&observed.history, &Obs::off());
 
         if causal.is_prediction() {
             causal_predictions += 1;

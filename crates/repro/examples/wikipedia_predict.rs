@@ -7,7 +7,9 @@
 //!
 //! Run with `cargo run --release --example wikipedia_predict`.
 
-use isopredict::{report, IsolationLevel, PredictionOutcome, Predictor, PredictorConfig, Strategy};
+use isopredict::{
+    report, IsolationLevel, Obs, PredictionOutcome, Predictor, PredictorConfig, Strategy,
+};
 use isopredict_store::StoreMode;
 use isopredict_workloads::{run, Benchmark, Schedule, WorkloadConfig};
 
@@ -29,7 +31,7 @@ fn main() {
             isolation: IsolationLevel::Causal,
             ..PredictorConfig::default()
         });
-        match predictor.predict(&observed.history) {
+        match predictor.predict(&observed.history, &Obs::off()) {
             PredictionOutcome::Prediction(prediction) => {
                 prediction_count += 1;
                 println!("seed {seed}: causal unserializable prediction found");

@@ -11,7 +11,7 @@
 //!
 //! Run with: `cargo run --release --example write_skew_si`
 
-use isopredict::{validate, IsolationLevel, Predictor, PredictorConfig, Strategy};
+use isopredict::{validate, IsolationLevel, Obs, Predictor, PredictorConfig, Strategy};
 use isopredict_history::{serializability, si, History};
 use isopredict_store::{Divergence, Engine, StoreMode, Value};
 
@@ -52,7 +52,7 @@ fn main() {
         isolation: IsolationLevel::Snapshot,
         ..PredictorConfig::default()
     });
-    let outcome = predictor.predict(&observed);
+    let outcome = predictor.predict(&observed, &Obs::off());
     let prediction = outcome
         .prediction()
         .expect("snapshot isolation admits the write-skew execution");

@@ -32,7 +32,7 @@
 //!     isolation: IsolationLevel::ReadCommitted,
 //!     ..PredictorConfig::default()
 //! });
-//! let outcome = predictor.predict(&observed.history);
+//! let outcome = predictor.predict(&observed.history, &Obs::off());
 //! assert!(outcome.is_prediction() || outcome.is_no_prediction() || outcome.is_unknown());
 //! ```
 
@@ -47,8 +47,8 @@ pub use isopredict_workloads;
 /// Convenience re-exports used by the examples and integration tests.
 pub mod prelude {
     pub use isopredict::{
-        IsolationLevel, PredictionOutcome, Predictor, PredictorConfig, Strategy, ValidationOutcome,
-        ValidationPlan,
+        IsolationLevel, Obs, PredictionOutcome, Predictor, PredictorConfig, Strategy,
+        ValidationOutcome, ValidationPlan,
     };
     pub use isopredict_history::{History, HistoryBuilder, SessionId, TxnId};
     pub use isopredict_orchestrator::{

@@ -2,7 +2,7 @@
 //! store, predict with the analysis, validate by replaying the workload.
 
 use isopredict::{
-    validate, IsolationLevel, PredictionOutcome, Predictor, PredictorConfig, Strategy,
+    validate, IsolationLevel, Obs, PredictionOutcome, Predictor, PredictorConfig, Strategy,
 };
 use isopredict_history::{causal, serializability};
 use isopredict_store::StoreMode;
@@ -18,7 +18,7 @@ fn predict(
         isolation,
         ..PredictorConfig::default()
     })
-    .predict(observed)
+    .predict(observed, &Obs::off())
 }
 
 #[test]

@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 
 use isopredict::Strategy as PredictionStrategy;
-use isopredict::{IsolationLevel, PredictionOutcome, Predictor, PredictorConfig};
+use isopredict::{IsolationLevel, Obs, PredictionOutcome, Predictor, PredictorConfig};
 use isopredict_history::{serializability, EventKind, History, HistoryBuilder, TxnId};
 
 /// A tiny serializable observed history: `layout[s]` lists session `s`'s
@@ -173,7 +173,7 @@ proptest! {
         for isolation in IsolationLevel::ALL {
             let exists = candidates.iter().any(|c| isolation.is_conformant(c));
             for preprocess in [true, false] {
-                match exact(isolation, preprocess).predict(&observed) {
+                match exact(isolation, preprocess).predict(&observed, &Obs::off()) {
                     PredictionOutcome::Prediction(prediction) => {
                         prop_assert!(
                             candidates.contains(&prediction.predicted),
@@ -221,7 +221,7 @@ fn enumeration_finds_the_stale_read_of_figure_9() {
     ] {
         let exists = unserializable.iter().any(|c| isolation.is_conformant(c));
         assert_eq!(exists, expected, "{isolation}");
-        let outcome = exact(isolation, true).predict(&observed);
+        let outcome = exact(isolation, true).predict(&observed, &Obs::off());
         assert_eq!(
             outcome.is_prediction(),
             expected,

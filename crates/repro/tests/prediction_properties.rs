@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use isopredict::Strategy as PredictionStrategy;
-use isopredict::{IsolationLevel, PredictionOutcome, Predictor, PredictorConfig};
+use isopredict::{IsolationLevel, Obs, PredictionOutcome, Predictor, PredictorConfig};
 use isopredict_history::{serializability, History, HistoryBuilder, TxnId};
 
 /// Builds a random *serializable-by-construction* observed history: sessions
@@ -69,7 +69,7 @@ proptest! {
                 conflict_budget: Some(200_000),
                 ..PredictorConfig::default()
             });
-            match predictor.predict(&observed) {
+            match predictor.predict(&observed, &Obs::off()) {
                 PredictionOutcome::Prediction(prediction) => {
                     prop_assert!(
                         !serializability::check(&prediction.predicted).is_serializable(),
@@ -100,7 +100,7 @@ proptest! {
             conflict_budget: Some(200_000),
             ..PredictorConfig::default()
         })
-        .predict(&observed);
+        .predict(&observed, &Obs::off());
         let exact = Predictor::new(PredictorConfig {
             strategy: PredictionStrategy::ExactStrict,
             isolation: IsolationLevel::Causal,
@@ -108,7 +108,7 @@ proptest! {
             max_exact_candidates: 64,
             ..PredictorConfig::default()
         })
-        .predict(&observed);
+        .predict(&observed, &Obs::off());
 
         if approx.is_prediction() {
             prop_assert!(

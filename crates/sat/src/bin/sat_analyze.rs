@@ -15,6 +15,8 @@
 //! over golden fixtures. An unknown `--` option or a missing file prints the
 //! usage line and exits with status 2.
 
+#![warn(clippy::iter_over_hash_type)]
+
 use std::process::ExitCode;
 
 use isopredict_sat::{parse_dimacs, Lit, SolveOutcome, Solver, SolverConfig};

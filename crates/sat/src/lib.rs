@@ -37,6 +37,7 @@
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
+#![warn(clippy::iter_over_hash_type)]
 
 mod analyze;
 mod assignment;

@@ -68,6 +68,7 @@
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
+#![warn(clippy::iter_over_hash_type)]
 
 mod fd;
 mod order;

@@ -425,8 +425,10 @@ impl SmtSolver {
     pub fn model_order_positions(&self) -> Option<Vec<usize>> {
         let model = self.sat.model()?;
         let mut edges = Vec::new();
-        // detlint: allow(hash-iter) — the edges are sorted below, so the
-        // HashMap iteration order cannot leak into the result.
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "the edges are sorted below, so the HashMap order cannot leak into the result"
+        )]
         for (term, lit) in &self.lit_of {
             if let Term::Less(a, b) = self.pool.get(*term) {
                 if model.lit_value(*lit) {
@@ -441,7 +443,7 @@ impl SmtSolver {
         topological_positions(self.theory.num_nodes(), &edges)
     }
 
-    /// Encoding and solving statistics.
+    /// The size of the encoding asserted so far.
     #[must_use]
     pub fn stats(&self) -> EncodingStats {
         let sat_stats = self.sat.stats();
@@ -450,8 +452,6 @@ impl SmtSolver {
             clauses: sat_stats.clauses,
             literals: sat_stats.literals,
             terms: self.pool.len() as u64,
-            conflicts: sat_stats.conflicts,
-            decisions: sat_stats.decisions,
         }
     }
 

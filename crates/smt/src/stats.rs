@@ -2,6 +2,7 @@
 
 /// Size of the constraint system handed to the SAT core, mirroring the
 /// "# Literals" and "Constraint gen." columns of the paper's Tables 4 and 5.
+/// Search work is not part of it: it lives in [`crate::SolverStats`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct EncodingStats {
     /// Number of SAT variables allocated (atoms + Tseitin definitions).
@@ -13,18 +14,14 @@ pub struct EncodingStats {
     pub literals: u64,
     /// Number of distinct hash-consed terms built.
     pub terms: u64,
-    /// Number of conflicts the solver went through in `check` calls so far.
-    pub conflicts: u64,
-    /// Number of solver decisions.
-    pub decisions: u64,
 }
 
 impl std::fmt::Display for EncodingStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} vars, {} clauses, {} literals, {} terms ({} conflicts, {} decisions)",
-            self.variables, self.clauses, self.literals, self.terms, self.conflicts, self.decisions
+            "{} vars, {} clauses, {} literals, {} terms",
+            self.variables, self.clauses, self.literals, self.terms
         )
     }
 }
@@ -82,8 +79,6 @@ mod tests {
             clauses: 2,
             literals: 3,
             terms: 4,
-            conflicts: 5,
-            decisions: 6,
         };
         let text = stats.to_string();
         assert!(text.contains("3 literals"));

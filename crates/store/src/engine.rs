@@ -238,9 +238,11 @@ impl Engine {
         let open = inner.open.remove(&session).expect("transaction is open");
         inner.commit_seq += 1;
         let seq = inner.commit_seq;
-        // detlint: allow(hash-iter) — every buffered write installs under the
-        // same commit seq and keys are distinct, so install order is
-        // unobservable.
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "every buffered write installs under the same commit seq and keys are \
+                      distinct, so install order is unobservable"
+        )]
         for (key, value) in open.write_buffer {
             inner.store.install(&key, open.txn, seq, value);
         }

@@ -42,6 +42,7 @@
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
+#![warn(clippy::iter_over_hash_type)]
 
 mod chooser;
 mod engine;

@@ -74,9 +74,11 @@ impl VersionedStore {
 
     /// Every key that has at least one version, in no particular order.
     #[cfg_attr(not(test), allow(dead_code))]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test-only accessor; callers count or sort, never depend on the order"
+    )]
     pub(crate) fn keys(&self) -> impl Iterator<Item = &str> {
-        // detlint: allow(hash-iter) — test-only accessor; callers count or
-        // sort, never depend on the order.
         self.versions.keys().map(String::as_str)
     }
 }

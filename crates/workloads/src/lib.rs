@@ -43,6 +43,7 @@
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
+#![warn(clippy::iter_over_hash_type)]
 
 pub mod assertions;
 pub mod overdraft;
