@@ -429,14 +429,25 @@ mod tests {
 
     #[test]
     fn future_schema_versions_are_rejected() {
-        // Schema 1 predates heartbeats and has no producer left.
-        for schema in [1, 999] {
+        for schema in [3, 999] {
             let text = format!(r#"{{"type": "run_start", "schema": {schema}}}"#);
             assert!(validate_stream(&text)
                 .unwrap_err()
                 .message
                 .contains("unsupported schema"));
         }
+    }
+
+    #[test]
+    fn v1_streams_are_rejected_as_unsupported() {
+        // Schema 1 predates heartbeats and has no producer left.
+        let text = stream(&[
+            r#"{"type": "run_start", "schema": 1}"#,
+            r#"{"type": "gauge", "seq": 1, "name": "workers", "value": 2}"#,
+        ]);
+        let error = validate_stream(&text).unwrap_err();
+        assert_eq!(error.line, 1);
+        assert!(error.message.contains("unsupported schema"));
     }
 
     #[test]
