@@ -3,9 +3,13 @@
 //! first seed with a successful causal prediction is rendered.
 //!
 //! Usage: `cargo run -p isopredict-bench --bin figures [-- --out DIR]`
+//!
+//! An unknown option or `--out` without a directory prints the usage line
+//! and exits with status 2.
 
 use std::fs;
 use std::path::PathBuf;
+use std::process::ExitCode;
 
 use isopredict::{
     report, IsolationLevel, Obs, PredictionOutcome, Predictor, PredictorConfig, Strategy,
@@ -14,14 +18,36 @@ use isopredict_history::dot::{render, Overlay};
 use isopredict_orchestrator::record_observed;
 use isopredict_workloads::{Benchmark, WorkloadConfig};
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let out_dir = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("figures"));
+const USAGE: &str = "usage: figures [--out DIR]";
+
+/// Parses the arguments after the program name: only `--out DIR` (default
+/// `figures`).
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<PathBuf, String> {
+    let mut out_dir = PathBuf::from("figures");
+    let mut args = args.into_iter();
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--out" => {
+                out_dir = args
+                    .next()
+                    .filter(|dir| !dir.starts_with("--"))
+                    .ok_or("--out requires a directory")?
+                    .into();
+            }
+            other => return Err(format!("unknown argument `{other}`")),
+        }
+    }
+    Ok(out_dir)
+}
+
+fn main() -> ExitCode {
+    let out_dir = match parse_args(std::env::args().skip(1)) {
+        Ok(out_dir) => out_dir,
+        Err(error) => {
+            eprintln!("figures: {error}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
     fs::create_dir_all(&out_dir).expect("create output directory");
 
     for benchmark in Benchmark::all() {
@@ -65,5 +91,31 @@ fn main() {
                 "{benchmark}: no causal prediction found for seeds 0..10 (expected for Voter)"
             );
         }
+    }
+    ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<PathBuf, String> {
+        parse_args(args.iter().map(ToString::to_string))
+    }
+
+    #[test]
+    fn out_is_the_only_option() {
+        assert_eq!(parse(&[]), Ok(PathBuf::from("figures")));
+        assert_eq!(parse(&["--out", "dir"]), Ok(PathBuf::from("dir")));
+        for args in [&["--bogus"][..], &["--seeds", "2"], &["stray"]] {
+            let error = parse(args).unwrap_err();
+            assert!(error.contains(args[0]), "{error}");
+        }
+    }
+
+    #[test]
+    fn out_requires_a_directory() {
+        assert!(parse(&["--out"]).is_err());
+        assert!(parse(&["--out", "--bogus"]).is_err());
     }
 }

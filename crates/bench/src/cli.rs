@@ -1,5 +1,5 @@
 //! Command-line arguments shared by the table binaries (`table4_5`,
-//! `table6_7`).
+//! `table6_7`), and the [`number`] parser that `table3` also uses.
 //!
 //! Every option must be known, every value well-formed and every name one
 //! the matrix knows, so a typo cannot silently fall back to a default; the
@@ -117,7 +117,13 @@ impl TableArgs {
     }
 }
 
-fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+/// Parses the value of `flag` as a number, with an error naming both.
+///
+/// # Errors
+///
+/// A message naming `flag` and `value` when `value` is not a number of
+/// type `T`.
+pub fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
     value
         .parse()
         .map_err(|_| format!("{flag} expects a non-negative integer, got `{value}`"))

@@ -13,8 +13,7 @@
 //! * `figures` — Graphviz renderings of observed/predicted execution pairs
 //!   (Figures 7, 8 and 10).
 //!
-//! The Criterion benches in `benches/` cover the solver substrate, encoding
-//! sizes, prediction latency and the serializability checker.
+//! Performance is measured by `perfbench/` at the repository root, not here.
 
 #![deny(missing_docs)]
 

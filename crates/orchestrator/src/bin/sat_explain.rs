@@ -14,23 +14,40 @@
 //!
 //! Exit status is nonzero on unreadable or unparsable input; a report with
 //! zero post-mortems renders a note and exits zero (every unit finishing
-//! within budget is the good case).
+//! within budget is the good case). An option (the tool takes none) or no
+//! file prints the usage line and exits with status 2.
 
 use std::process::ExitCode;
 
 use isopredict_orchestrator::{HeartbeatRecord, PostmortemRecord};
 use serde::{Content, Deserialize};
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let files: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-    if files.is_empty() {
-        eprintln!("usage: sat_explain REPORT.json...");
-        return ExitCode::FAILURE;
+const USAGE: &str = "usage: sat_explain REPORT.json...";
+
+/// Parses the arguments after the program name: one or more report files
+/// and no `--` options, so a misspelt flag is not silently dropped.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Vec<String>, String> {
+    let files: Vec<String> = args.into_iter().collect();
+    if let Some(option) = files.iter().find(|arg| arg.starts_with("--")) {
+        return Err(format!("unknown option {option}"));
     }
+    if files.is_empty() {
+        return Err("no report files".to_string());
+    }
+    Ok(files)
+}
+
+fn main() -> ExitCode {
+    let files = match parse_args(std::env::args().skip(1)) {
+        Ok(files) => files,
+        Err(error) => {
+            eprintln!("sat_explain: {error}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
 
     let mut failed = false;
-    for path in files {
+    for path in &files {
         match load_postmortems(path) {
             Ok(postmortems) if postmortems.is_empty() => {
                 println!("{path}: no post-mortems (every analysis unit finished within budget)");
@@ -169,4 +186,28 @@ fn busiest_family<'a>(pm: &'a PostmortemRecord, hb: &HeartbeatRecord) -> &'a str
             .map(|(i, _)| pm.families[i].as_str())
     };
     pick(true).or_else(|| pick(false)).unwrap_or("-")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Vec<String>, String> {
+        parse_args(args.iter().map(ToString::to_string))
+    }
+
+    #[test]
+    fn accepts_report_files() {
+        assert_eq!(
+            parse(&["a.json", "b.json"]).expect("files"),
+            ["a.json", "b.json"]
+        );
+    }
+
+    #[test]
+    fn rejects_options_and_missing_files() {
+        let error = parse(&["--bogus", "r.json"]).unwrap_err();
+        assert!(error.contains("--bogus"), "{error}");
+        assert!(parse(&[]).is_err());
+    }
 }

@@ -362,7 +362,7 @@ pub struct CampaignTiming {
     /// time-share scarce CPUs the per-task times inflate and this ratio
     /// approaches the worker count regardless of real throughput; the honest
     /// speedup measure is comparing `wall_us` against a 1-worker run of the
-    /// same campaign (what `bench_orchestrator` reports).
+    /// same campaign.
     pub speedup_estimate: f64,
 }
 

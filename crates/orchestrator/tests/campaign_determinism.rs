@@ -3,6 +3,7 @@
 //! matter how many workers execute it.
 
 use isopredict::{IsolationLevel, Strategy};
+use isopredict_obs::Registry;
 use isopredict_orchestrator::{Campaign, CampaignOptions, ShardPolicy};
 use isopredict_workloads::Benchmark;
 
@@ -87,6 +88,41 @@ fn exact_strict_deterministic_half_is_byte_identical_with_and_without_preprocess
         !halves[0].contains("\"outcome\": \"unknown\""),
         "{}",
         halves[0]
+    );
+}
+
+#[test]
+fn preprocessing_costs_voter_causal_at_most_45_percent_more_conflicts() {
+    // A pinned regression: bounded variable elimination reshapes this cell's
+    // formula in a way that costs its search ~36% more conflicts (32,552 ->
+    // 44,354; the verdicts are unchanged). Conflict counts are deterministic
+    // per mode, so the band only fails when a change makes it worse.
+    let campaign = Campaign::new()
+        .benchmarks([Benchmark::Voter])
+        .seeds([0, 1])
+        .strategies([Strategy::ApproxRelaxed])
+        .isolations([IsolationLevel::Causal])
+        .txns_per_session(2);
+    let [(off_half, off), (on_half, on)] = [false, true].map(|preprocess| {
+        let registry = Registry::new();
+        let report = campaign.run_observed(
+            &CampaignOptions {
+                workers: 2,
+                preprocess,
+                ..CampaignOptions::default()
+            },
+            &registry.obs(),
+        );
+        let conflicts = registry.snapshot().counter("solver.conflicts");
+        (report.deterministic_json(), conflicts)
+    });
+    assert_eq!(off_half, on_half, "preprocessing changed a verdict");
+    assert!(off > 0, "the preprocessing-off run recorded no conflicts");
+    let increase = (on as f64 - off as f64) / off as f64 * 100.0;
+    assert!(
+        increase <= 45.0,
+        "preprocessing raised Voter x causal conflicts {off} -> {on} ({increase:+.1}%), \
+         past the pinned +45% band"
     );
 }
 

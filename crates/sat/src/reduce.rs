@@ -154,17 +154,4 @@ mod tests {
             );
         }
     }
-
-    #[test]
-    fn disabling_reduction_is_allowed() {
-        let config = SolverConfig {
-            reduce_db: false,
-            ..SolverConfig::default()
-        };
-        let mut solver = Solver::with_config(config);
-        let a = solver.new_var();
-        solver.add_clause([Lit::positive(a)]);
-        assert_eq!(solver.solve(), SolveOutcome::Sat);
-        assert_eq!(solver.stats().deleted_clauses, 0);
-    }
 }

@@ -19,13 +19,14 @@ use crate::theory::{NullTheory, Theory, TheoryResult};
 /// [`Solver::set_heartbeat_hook`]).
 pub type HeartbeatHook = Box<dyn FnMut(&Heartbeat) + Send>;
 
+/// Multiplicative decay applied to variable activities after each conflict.
+const VAR_DECAY: f64 = 0.95;
+/// Multiplicative decay applied to clause activities after each conflict.
+const CLAUSE_DECAY: f64 = 0.999;
+
 /// Tuning knobs for the solver.
 #[derive(Debug, Clone)]
 pub struct SolverConfig {
-    /// Multiplicative decay applied to variable activities after each conflict.
-    pub var_decay: f64,
-    /// Multiplicative decay applied to clause activities after each conflict.
-    pub clause_decay: f64,
     /// Conflicts per Luby restart unit.
     pub restart_interval: u64,
     /// Initial learnt-clause limit before database reduction triggers.
@@ -33,12 +34,6 @@ pub struct SolverConfig {
     /// Optional conflict budget. When exceeded the solver returns
     /// [`SolveOutcome::Unknown`].
     pub max_conflicts: Option<u64>,
-    /// Enable VSIDS decision ordering (disable to fall back to lowest-index
-    /// decisions; exposed for the ablation benchmarks).
-    pub use_vsids: bool,
-    /// Enable learnt-clause database reduction (exposed for the ablation
-    /// benchmarks).
-    pub reduce_db: bool,
     /// Static preprocessing pipeline configuration (see
     /// [`crate::PreprocessConfig`]).
     pub preprocess: PreprocessConfig,
@@ -50,13 +45,9 @@ pub struct SolverConfig {
 impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
-            var_decay: 0.95,
-            clause_decay: 0.999,
             restart_interval: 100,
             learnt_limit: 4000,
             max_conflicts: None,
-            use_vsids: true,
-            reduce_db: true,
             preprocess: PreprocessConfig::default(),
             heartbeat_every: 10_000,
         }
@@ -409,8 +400,8 @@ impl Solver {
     }
 
     pub(crate) fn decay_activities(&mut self) {
-        self.var_inc /= self.config.var_decay;
-        self.cla_inc /= self.config.clause_decay;
+        self.var_inc /= VAR_DECAY;
+        self.cla_inc /= CLAUSE_DECAY;
     }
 
     pub(crate) fn bump_clause(&mut self, cref: ClauseRef) {
@@ -427,24 +418,14 @@ impl Solver {
 
     /// Picks the next decision literal, or `None` if all variables are assigned.
     pub(crate) fn pick_branch_lit(&mut self) -> Option<Lit> {
-        if self.config.use_vsids {
-            while let Some(var) = self.heap.pop_max() {
-                if self.assignment.value_var(var) == LBool::Undef
-                    && self.var_state[var.index()] == VarState::Active
-                {
-                    return Some(Lit::new(var, !self.phases[var.index()]));
-                }
+        while let Some(var) = self.heap.pop_max() {
+            if self.assignment.value_var(var) == LBool::Undef
+                && self.var_state[var.index()] == VarState::Active
+            {
+                return Some(Lit::new(var, !self.phases[var.index()]));
             }
-            None
-        } else {
-            (0..self.num_vars())
-                .map(|i| Var::from_index(i as u32))
-                .find(|&v| {
-                    self.assignment.value_var(v) == LBool::Undef
-                        && self.var_state[v.index()] == VarState::Active
-                })
-                .map(|v| Lit::new(v, !self.phases[v.index()]))
         }
+        None
     }
 
     /// Solves the current clause set without a theory.
@@ -813,7 +794,7 @@ impl Solver {
                 continue;
             }
 
-            if self.config.reduce_db && self.db.num_learnt > *learnt_limit {
+            if self.db.num_learnt > *learnt_limit {
                 self.reduce_learnt_db();
                 *learnt_limit += *learnt_limit / 10;
             }
@@ -994,22 +975,6 @@ mod tests {
             }
         }
         assert_eq!(solver.solve(), SolveOutcome::Unknown);
-    }
-
-    #[test]
-    fn naive_decision_order_also_works() {
-        let config = SolverConfig {
-            use_vsids: false,
-            ..SolverConfig::default()
-        };
-        let mut solver = Solver::with_config(config);
-        let v = new_vars(&mut solver, 3);
-        solver.add_clause([lit(&v, 0, true), lit(&v, 1, false)]);
-        solver.add_clause([lit(&v, 1, true), lit(&v, 2, false)]);
-        solver.add_clause([lit(&v, 0, false)]);
-        assert_eq!(solver.solve(), SolveOutcome::Sat);
-        let m = solver.model().unwrap();
-        assert!(m.value(v[0]) && m.value(v[1]) && m.value(v[2]));
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use isopredict_sat::{
     FamilyAttribution, HeartbeatHook, Lit, PreprocessSummary, SolveOutcome, Solver as SatSolver,
-    SolverConfig, SolverPostmortem, SolverStats,
+    SolverPostmortem, SolverStats,
 };
 
 use crate::fd::{FdVar, FdVarData};
@@ -67,15 +67,6 @@ impl SmtSolver {
             bool_var_count: 0,
             true_lit: None,
         }
-    }
-
-    /// Creates a solver with a specific SAT-core configuration (used by the
-    /// ablation benchmarks).
-    #[must_use]
-    pub fn with_sat_config(config: SolverConfig) -> Self {
-        let mut solver = SmtSolver::new();
-        solver.sat = SatSolver::with_config(config);
-        solver
     }
 
     /// Limits the number of conflicts each [`SmtSolver::check`] call may
