@@ -71,11 +71,7 @@ impl TableArgs {
                     parsed.isolation = value()?.parse().map_err(|e| format!("{e}"))?;
                 }
                 "--size" => {
-                    parsed.size = match value()?.as_str() {
-                        "small" => WorkloadSize::Small,
-                        "large" => WorkloadSize::Large,
-                        other => return Err(format!("unknown size `{other}`")),
-                    };
+                    parsed.size = value()?.parse().map_err(|e| format!("{e}"))?;
                 }
                 "--seeds" => parsed.seeds = number(flag, &value()?)?,
                 "--runs-per-seed" if runs_per_seed => {

@@ -75,6 +75,39 @@ impl std::fmt::Display for Strategy {
     }
 }
 
+/// Error returned when parsing a [`Strategy`] from an unknown name.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParseStrategyError {
+    attempted: String,
+}
+
+impl std::fmt::Display for ParseStrategyError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "unknown strategy `{}`; accepted:", self.attempted)?;
+        for strategy in Strategy::all() {
+            write!(f, " {}", strategy.name().to_ascii_lowercase())?;
+        }
+        Ok(())
+    }
+}
+
+impl std::error::Error for ParseStrategyError {}
+
+impl std::str::FromStr for Strategy {
+    type Err = ParseStrategyError;
+
+    /// Parses a strategy by its table name, case-insensitively
+    /// (`exact-strict`, `Approx-Relaxed`, …).
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        Strategy::all()
+            .into_iter()
+            .find(|strategy| strategy.name().eq_ignore_ascii_case(s))
+            .ok_or_else(|| ParseStrategyError {
+                attempted: s.to_string(),
+            })
+    }
+}
+
 /// Configuration of a [`crate::Predictor`].
 #[derive(Debug, Clone)]
 pub struct PredictorConfig {
@@ -128,6 +161,19 @@ mod tests {
         assert!(!Strategy::ApproxRelaxed.is_exact());
         assert_eq!(Strategy::all().len(), 3);
         assert_eq!(Strategy::ApproxStrict.to_string(), "Approx-Strict");
+    }
+
+    #[test]
+    fn strategies_parse_case_insensitively() {
+        for strategy in Strategy::all() {
+            assert_eq!(strategy.to_string().parse(), Ok(strategy));
+            assert_eq!(strategy.name().to_lowercase().parse(), Ok(strategy));
+        }
+        let error = "exact".parse::<Strategy>().unwrap_err().to_string();
+        assert_eq!(
+            error,
+            "unknown strategy `exact`; accepted: exact-strict approx-strict approx-relaxed"
+        );
     }
 
     #[test]

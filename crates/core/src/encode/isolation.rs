@@ -8,11 +8,10 @@
 //! `co(t1) < co(t2)` atoms; the strict-order theory guarantees an acyclic —
 //! hence realizable — set of comparisons.
 //!
-//! Per-level axiom emitters are rows of the [`AXIOMS`] table, keyed by the
-//! same [`IsolationLevel`] whose checker/chooser semantics live in
-//! [`isopredict_history::isolation`]. Together the two tables are the only
-//! level-dispatch sites in the workspace: a new level adds one row here (its
-//! SMT axioms) and one row there (its concrete-history checker).
+//! [`Encoder::encode_isolation`] matches on the same [`IsolationLevel`]
+//! whose checker/chooser semantics live in [`isopredict_history::isolation`];
+//! a new level adds one arm here (its SMT axioms) and one set there (its
+//! concrete-history checker), and the compiler names every missing arm.
 
 use std::collections::BTreeMap;
 
@@ -22,43 +21,14 @@ use isopredict_store::IsolationLevel;
 use super::Encoder;
 use crate::config::BoundaryKind;
 
-/// The encoder-side seam row: how to emit one level's SMT axioms.
-pub(crate) struct IsolationAxioms {
-    /// The level this row encodes.
-    pub(crate) level: IsolationLevel,
-    /// Emits the level's constraints into the encoder's solver.
-    pub(crate) emit: fn(&mut Encoder<'_>),
-}
-
-/// One axiom emitter per supported level, in [`IsolationLevel::ALL`] order.
-pub(crate) const AXIOMS: [IsolationAxioms; 3] = [
-    IsolationAxioms {
-        level: IsolationLevel::Causal,
-        emit: |encoder| encoder.encode_causal(),
-    },
-    IsolationAxioms {
-        level: IsolationLevel::ReadCommitted,
-        emit: |encoder| encoder.encode_read_committed(),
-    },
-    IsolationAxioms {
-        level: IsolationLevel::Snapshot,
-        emit: |encoder| encoder.encode_snapshot(),
-    },
-];
-
 impl Encoder<'_> {
     /// Generates the constraints for the chosen isolation level.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the level has no [`AXIOMS`] row, which would be a bug: the
-    /// table is required to cover every variant.
     pub(crate) fn encode_isolation(&mut self, level: IsolationLevel) {
-        let axioms = AXIOMS
-            .iter()
-            .find(|axioms| axioms.level == level)
-            .expect("every isolation level has an axiom emitter");
-        (axioms.emit)(self);
+        match level {
+            IsolationLevel::Causal => self.encode_causal(),
+            IsolationLevel::ReadCommitted => self.encode_read_committed(),
+            IsolationLevel::Snapshot => self.encode_snapshot(),
+        }
     }
 
     /// `hb(t1, t2) ⇒ co(t1) < co(t2)` for every ordered pair.

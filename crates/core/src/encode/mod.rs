@@ -207,7 +207,7 @@ impl<'h> Encoder<'h> {
                 if t1 == t2 {
                     continue;
                 }
-                let var = smt.bool_var(format!("hb({t1},{t2})"));
+                let var = smt.bool_var();
                 hb.insert((t1, t2), var);
             }
         }

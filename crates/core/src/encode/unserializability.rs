@@ -46,15 +46,9 @@ impl Encoder<'_> {
                 if t1 == t2 {
                     continue;
                 }
-                symbols
-                    .ww
-                    .insert((t1, t2), self.smt.bool_var(format!("ww({t1},{t2})")));
-                symbols
-                    .rw
-                    .insert((t1, t2), self.smt.bool_var(format!("rw({t1},{t2})")));
-                symbols
-                    .pco
-                    .insert((t1, t2), self.smt.bool_var(format!("pco({t1},{t2})")));
+                symbols.ww.insert((t1, t2), self.smt.bool_var());
+                symbols.rw.insert((t1, t2), self.smt.bool_var());
+                symbols.pco.insert((t1, t2), self.smt.bool_var());
                 rank.insert((t1, t2), self.smt.order_node());
             }
         }

@@ -67,7 +67,7 @@ mod config;
 mod predict;
 mod prediction;
 
-pub use config::{BoundaryKind, PredictorConfig, Strategy};
+pub use config::{BoundaryKind, ParseStrategyError, PredictorConfig, Strategy};
 pub use isopredict_obs::Obs;
 pub use isopredict_store::IsolationLevel;
 pub use predict::{NoPredictionReason, PredictionOutcome, Predictor};

@@ -280,7 +280,6 @@ impl Predictor {
         let encode_span = obs.span("encode");
         let encode_obs = encode_span.obs();
         let mut encoder = Encoder::new(observed, self.config.strategy.boundary());
-        encoder.smt.set_preprocessing(self.config.preprocess);
         let families = self.intern_families(&mut encoder.smt);
         {
             let _feasibility = encode_obs.span("feasibility");

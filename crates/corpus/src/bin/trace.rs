@@ -120,11 +120,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
             }
             ("--seeds", Command::Record { seeds, .. }) => *seeds = number(&flag, &value()?)?,
             ("--size", Command::Record { size, .. }) => {
-                *size = match value()?.as_str() {
-                    "small" => WorkloadSize::Small,
-                    "large" => WorkloadSize::Large,
-                    other => return Err(format!("unknown size `{other}`")),
-                };
+                *size = value()?.parse().map_err(|e| format!("{e}"))?;
             }
             ("--benchmark", Command::Import { benchmark, .. }) => *benchmark = Some(value()?),
             ("--seed", Command::Import { seed, .. }) => *seed = Some(number(&flag, &value()?)?),

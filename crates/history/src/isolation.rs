@@ -3,16 +3,16 @@
 //! Every layer of the pipeline that cares about a weak isolation level —
 //! the store's legal-writer chooser, validation's controlled replay, the
 //! history-level conformance deciders, campaign/report identity — goes
-//! through [`IsolationSemantics`]: one table entry per level bundling the
-//! level's identity (name, parse aliases) with its history conformance
-//! checker and chooser behavior. The SMT axiom emitters live in the
-//! `isopredict` (core) crate's encoder, keyed by the same [`IsolationLevel`],
-//! because they operate on encoder internals; together the two tables are the
-//! only level-dispatch sites in the workspace.
+//! through the methods of [`IsolationLevel`], each an exhaustive `match` on
+//! the level: its identity (name, parse aliases), its history conformance
+//! checker and its chooser behavior. The SMT axiom emitters live in the
+//! `isopredict` (core) crate's encoder, which matches on the same
+//! [`IsolationLevel`] because they operate on encoder internals.
 //!
-//! Adding a level is a one-module change: implement a conformance checker
-//! (see [`crate::si`] for the newest example), add a [`SEMANTICS`] row here,
-//! and add the matching axiom emitter row in the core encoder.
+//! Adding a level is a one-module change plus the arms the compiler then
+//! asks for: implement a conformance checker (see [`crate::si`] for the
+//! newest example), add the variant, and fill in the match arms here and in
+//! the core encoder.
 
 use serde::{Deserialize, Serialize};
 
@@ -33,66 +33,6 @@ pub enum IsolationLevel {
     Snapshot,
 }
 
-/// One row of the isolation seam: everything the store, validator and
-/// campaign layers need to know about a level, minus the SMT axiom emitter
-/// (which lives with the encoder in the core crate).
-#[derive(Debug, Clone, Copy)]
-pub struct IsolationSemantics {
-    /// The level this row describes.
-    pub level: IsolationLevel,
-    /// Canonical display name (also accepted by the parser).
-    pub name: &'static str,
-    /// Additional spellings accepted by the parser.
-    pub aliases: &'static [&'static str],
-    /// The conformance decider: a commit order witnessing that the history is
-    /// valid under this level, or `None` if it is not.
-    pub conformance: fn(&History) -> Option<Vec<TxnId>>,
-    /// Whether the level constrains *write–write* conflicts (first-committer
-    /// wins). When true, the store's legal-writer chooser must account for
-    /// the open transaction's declared write set, not just its reads.
-    pub write_conflicts: bool,
-}
-
-impl IsolationSemantics {
-    /// Whether `history` is valid under this level.
-    #[must_use]
-    pub fn is_conformant(&self, history: &History) -> bool {
-        (self.conformance)(history).is_some()
-    }
-
-    /// A commit order witnessing conformance, or `None`.
-    #[must_use]
-    pub fn commit_order(&self, history: &History) -> Option<Vec<TxnId>> {
-        (self.conformance)(history)
-    }
-}
-
-/// The seam table: one row per supported level, in [`IsolationLevel::ALL`]
-/// order.
-pub const SEMANTICS: [IsolationSemantics; 3] = [
-    IsolationSemantics {
-        level: IsolationLevel::Causal,
-        name: "causal",
-        aliases: &["cc", "causal-consistency"],
-        conformance: causal::causal_commit_order,
-        write_conflicts: false,
-    },
-    IsolationSemantics {
-        level: IsolationLevel::ReadCommitted,
-        name: "read committed",
-        aliases: &["rc", "read-committed"],
-        conformance: readcommitted::rc_commit_order,
-        write_conflicts: false,
-    },
-    IsolationSemantics {
-        level: IsolationLevel::Snapshot,
-        name: "snapshot isolation",
-        aliases: &["si", "snapshot", "snapshot-isolation"],
-        conformance: si::si_commit_order,
-        write_conflicts: true,
-    },
-];
-
 impl IsolationLevel {
     /// All supported levels, in the order campaigns and tables list them.
     pub const ALL: [IsolationLevel; 3] = [
@@ -101,37 +41,58 @@ impl IsolationLevel {
         IsolationLevel::Snapshot,
     ];
 
-    /// This level's row of the seam table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the level has no [`SEMANTICS`] row, which would be a bug:
-    /// the table is required to cover every variant.
+    /// Canonical display name (also accepted by the parser).
     #[must_use]
-    pub fn semantics(self) -> &'static IsolationSemantics {
-        SEMANTICS
-            .iter()
-            .find(|semantics| semantics.level == self)
-            .expect("every isolation level has a semantics row")
+    pub fn name(self) -> &'static str {
+        match self {
+            IsolationLevel::Causal => "causal",
+            IsolationLevel::ReadCommitted => "read committed",
+            IsolationLevel::Snapshot => "snapshot isolation",
+        }
     }
 
-    /// Whether `history` is valid under this level.
+    /// Additional spellings accepted by the parser.
     #[must_use]
-    pub fn is_conformant(self, history: &History) -> bool {
-        self.semantics().is_conformant(history)
+    pub fn aliases(self) -> &'static [&'static str] {
+        match self {
+            IsolationLevel::Causal => &["cc", "causal-consistency"],
+            IsolationLevel::ReadCommitted => &["rc", "read-committed"],
+            IsolationLevel::Snapshot => &["si", "snapshot", "snapshot-isolation"],
+        }
     }
 
     /// A commit order witnessing that `history` is valid under this level,
     /// or `None` if it is not.
     #[must_use]
     pub fn commit_order(self, history: &History) -> Option<Vec<TxnId>> {
-        self.semantics().commit_order(history)
+        match self {
+            IsolationLevel::Causal => causal::causal_commit_order(history),
+            IsolationLevel::ReadCommitted => readcommitted::rc_commit_order(history),
+            IsolationLevel::Snapshot => si::si_commit_order(history),
+        }
+    }
+
+    /// Whether `history` is valid under this level.
+    #[must_use]
+    pub fn is_conformant(self, history: &History) -> bool {
+        self.commit_order(history).is_some()
+    }
+
+    /// Whether the level constrains *write–write* conflicts (first-committer
+    /// wins). When true, the store's legal-writer chooser must account for
+    /// the open transaction's declared write set, not just its reads.
+    #[must_use]
+    pub fn write_conflicts(self) -> bool {
+        match self {
+            IsolationLevel::Causal | IsolationLevel::ReadCommitted => false,
+            IsolationLevel::Snapshot => true,
+        }
     }
 }
 
 impl std::fmt::Display for IsolationLevel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.semantics().name)
+        f.write_str(self.name())
     }
 }
 
@@ -144,10 +105,10 @@ pub struct ParseIsolationLevelError {
 impl std::fmt::Display for ParseIsolationLevelError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "unknown isolation level `{}`; accepted:", self.attempted)?;
-        for semantics in &SEMANTICS {
-            let dashed = semantics.name.replace(' ', "-");
+        for level in IsolationLevel::ALL {
+            let dashed = level.name().replace(' ', "-");
             write!(f, " {dashed}")?;
-            for alias in semantics.aliases {
+            for alias in level.aliases() {
                 if *alias != dashed {
                     write!(f, "|{alias}")?;
                 }
@@ -167,16 +128,15 @@ impl std::str::FromStr for IsolationLevel {
     /// `read committed`, `si`, `snapshot`, … all parse).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let normalized = s.trim().to_lowercase().replace(['-', '_'], " ");
-        SEMANTICS
-            .iter()
-            .find(|semantics| {
-                semantics.name == normalized
-                    || semantics
-                        .aliases
+        IsolationLevel::ALL
+            .into_iter()
+            .find(|level| {
+                level.name() == normalized
+                    || level
+                        .aliases()
                         .iter()
                         .any(|alias| alias.replace('-', " ") == normalized)
             })
-            .map(|semantics| semantics.level)
             .ok_or_else(|| ParseIsolationLevelError {
                 attempted: s.to_string(),
             })
@@ -227,16 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn every_level_has_a_semantics_row() {
-        for level in IsolationLevel::ALL {
-            let semantics = level.semantics();
-            assert_eq!(semantics.level, level);
-            assert!(!semantics.name.is_empty());
-        }
-        assert_eq!(SEMANTICS.len(), IsolationLevel::ALL.len());
-    }
-
-    #[test]
     fn conformance_dispatches_to_the_level_checkers() {
         // Racing deposits: causal and rc, but a lost update — not SI.
         let mut b = HistoryBuilder::new();
@@ -260,8 +210,8 @@ mod tests {
 
     #[test]
     fn only_snapshot_constrains_write_conflicts() {
-        assert!(!IsolationLevel::Causal.semantics().write_conflicts);
-        assert!(!IsolationLevel::ReadCommitted.semantics().write_conflicts);
-        assert!(IsolationLevel::Snapshot.semantics().write_conflicts);
+        assert!(!IsolationLevel::Causal.write_conflicts());
+        assert!(!IsolationLevel::ReadCommitted.write_conflicts());
+        assert!(IsolationLevel::Snapshot.write_conflicts());
     }
 }

@@ -15,7 +15,7 @@
 //!   (via SAT encodings of the commit-order axioms, since both problems are
 //!   NP-hard), [`causal`] and [`readcommitted`] (polynomial acyclicity
 //!   checks) — bundled per level behind the [`isolation`] seam so that every
-//!   other layer dispatches through [`IsolationLevel::semantics`];
+//!   other layer dispatches through [`IsolationLevel`]'s methods;
 //! * a serde-friendly [`trace`] format for recorded executions and a
 //!   [`dot`] renderer for the paper-style history graphs.
 //!
@@ -69,7 +69,7 @@ pub use connectivity::{KeyComponents, UnionFind};
 pub use event::{Event, EventKind};
 pub use history::{History, Transaction};
 pub use ids::{KeyId, SessionId, TxnId};
-pub use isolation::{IsolationLevel, IsolationSemantics, ParseIsolationLevelError};
+pub use isolation::{IsolationLevel, ParseIsolationLevelError};
 pub use serializability::SerializabilityResult;
 pub use trace::{OpTrace, SessionTrace, Trace, TraceError, TraceMeta, TxnTrace};
 

@@ -109,6 +109,7 @@ pub fn check(history: &History) -> SerializabilityResult {
         }
     }
 
+    solver.preprocess();
     match solver.solve() {
         SolveOutcome::Sat => {
             let model = solver.model().expect("sat outcome has a model");

@@ -167,6 +167,7 @@ pub fn si_commit_order(history: &History) -> Option<Vec<TxnId>> {
         }
     }
 
+    solver.preprocess();
     match solver.solve() {
         SolveOutcome::Sat => {
             let model = solver.model().expect("sat outcome has a model");

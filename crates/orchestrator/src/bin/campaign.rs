@@ -76,17 +76,13 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
                 campaign = campaign.benchmarks(list(&value()?, parse_name::<Benchmark>)?)
             }
             "--seeds" => campaign = campaign.seeds(0..number(flag, &value()?)?),
-            "--strategies" => campaign = campaign.strategies(list(&value()?, parse_strategy)?),
+            "--strategies" => {
+                campaign = campaign.strategies(list(&value()?, parse_name::<Strategy>)?)
+            }
             "--isolation" => {
                 campaign = campaign.isolations(list(&value()?, parse_name::<IsolationLevel>)?)
             }
-            "--size" => {
-                campaign = campaign.size(match value()?.as_str() {
-                    "small" => WorkloadSize::Small,
-                    "large" => WorkloadSize::Large,
-                    other => return Err(format!("unknown size `{other}`")),
-                });
-            }
+            "--size" => campaign = campaign.size(parse_name::<WorkloadSize>(&value()?)?),
             "--budget" => options.conflict_budget = Some(number(flag, &value()?)?),
             "--workers" => options.workers = number(flag, &value()?)?,
             "--shard" => {
@@ -128,18 +124,10 @@ fn list<T>(value: &str, parse: fn(&str) -> Result<T, String>) -> Result<Vec<T>, 
     value.split(',').map(parse).collect()
 }
 
-/// A benchmark or isolation level by name, through its `FromStr`.
+/// A benchmark, strategy, isolation level or size by name, through its
+/// `FromStr`.
 fn parse_name<T: std::str::FromStr<Err: std::fmt::Display>>(name: &str) -> Result<T, String> {
     name.parse().map_err(|error: T::Err| error.to_string())
-}
-
-fn parse_strategy(name: &str) -> Result<Strategy, String> {
-    match name {
-        "exact-strict" => Ok(Strategy::ExactStrict),
-        "approx-strict" => Ok(Strategy::ApproxStrict),
-        "approx-relaxed" => Ok(Strategy::ApproxRelaxed),
-        other => Err(format!("unknown strategy `{other}`")),
-    }
 }
 
 fn main() -> ExitCode {

@@ -245,12 +245,10 @@ mod tests {
 
     #[test]
     fn learnt_clauses_accumulate_on_hard_instances() {
-        // Pigeonhole 4-into-3 forces many conflicts and learnt clauses.
-        // Preprocessing is disabled because variable elimination can solve
-        // the instance outright, and this test targets conflict analysis.
-        let mut config = crate::SolverConfig::default();
-        config.preprocess.enabled = false;
-        let mut solver = Solver::with_config(config);
+        // Pigeonhole 4-into-3 forces many conflicts and learnt clauses. It
+        // is not preprocessed because variable elimination can solve the
+        // instance outright, and this test targets conflict analysis.
+        let mut solver = Solver::new();
         let n = 4;
         let holes = 3;
         let mut p = vec![vec![Var::from_index(0); holes]; n];

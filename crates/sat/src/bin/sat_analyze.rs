@@ -19,7 +19,7 @@
 
 use std::process::ExitCode;
 
-use isopredict_sat::{parse_dimacs, Lit, SolveOutcome, Solver, SolverConfig};
+use isopredict_sat::{parse_dimacs, solver_from_dimacs, Lit, SolveOutcome};
 
 const USAGE: &str = "usage: sat_analyze [--check] FILE...";
 
@@ -93,23 +93,9 @@ fn main() -> ExitCode {
     }
 }
 
-/// Builds a solver over the parsed instance, with or without preprocessing.
-fn load(num_vars: usize, clauses: &[Vec<Lit>], preprocess: bool) -> Solver {
-    let mut config = SolverConfig::default();
-    config.preprocess.enabled = preprocess;
-    let mut solver = Solver::with_config(config);
-    for _ in 0..num_vars {
-        solver.new_var();
-    }
-    for clause in clauses {
-        solver.add_clause(clause.iter().copied());
-    }
-    solver
-}
-
 /// The human-readable report: profile, simplification delta, profile again.
 fn report(path: &str, num_vars: usize, clauses: &[Vec<Lit>]) {
-    let mut solver = load(num_vars, clauses, true);
+    let mut solver = solver_from_dimacs(num_vars, clauses);
     println!("{path}");
     println!("  before:\n    {}", indent(&solver.profile()));
     let summary = solver.preprocess();
@@ -125,8 +111,9 @@ fn indent(value: &impl std::fmt::Display) -> String {
 /// The `--check` mode: preprocessing must preserve the verdict and produce
 /// models that satisfy the original clauses.
 fn run_check(path: &str, num_vars: usize, clauses: &[Vec<Lit>]) -> bool {
-    let mut plain = load(num_vars, clauses, false);
-    let mut preprocessed = load(num_vars, clauses, true);
+    let mut plain = solver_from_dimacs(num_vars, clauses);
+    let mut preprocessed = solver_from_dimacs(num_vars, clauses);
+    preprocessed.preprocess();
     let plain_outcome = plain.solve();
     let pp_outcome = preprocessed.solve();
     if plain_outcome != pp_outcome {

@@ -15,6 +15,8 @@
 //! * VSIDS-style variable activity with phase saving.
 //! * Luby-sequence restarts.
 //! * Learnt-clause database reduction driven by LBD (glue) scores.
+//! * SatELite-style preprocessing ([`Solver::preprocess`]): one explicit
+//!   pass before the first search, with model reconstruction.
 //! * A [`Theory`] trait for DPLL(T)-style integration: the theory is told
 //!   about assignments to its atoms as they happen and may report conflict
 //!   clauses that the solver then learns from.
@@ -62,7 +64,7 @@ pub use flight::{
 };
 pub use literal::{Lit, Var};
 pub use model::Model;
-pub use preprocess::{FormulaProfile, PreprocessConfig, PreprocessSummary};
+pub use preprocess::{FormulaProfile, PreprocessSummary};
 pub use solver::{HeartbeatHook, SolveOutcome, Solver, SolverConfig};
 pub use stats::SolverStats;
 pub use theory::{NullTheory, Theory, TheoryResult};

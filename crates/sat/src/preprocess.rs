@@ -21,15 +21,14 @@
 //! cannot see, so they are never eliminated or substituted (they may still be
 //! fixed by unit propagation or probing, which is sound).
 //!
-//! The preprocessor is incremental-safe, and the implicit pass runs once:
-//! [`Solver::solve`] preprocesses only before a solver's first search.
-//! Clauses added afterwards join the simplified formula directly:
-//! [`Solver::add_clause`] maps their literals through the substitution table,
-//! transparently restores eliminated variables they mention (re-adding the
-//! stored clauses), and simplifies them against the top-level assignment, so
-//! refinement and blocking-clause loops keep working without re-running the
-//! pipeline. An explicit [`Solver::preprocess`] call still re-runs it on
-//! demand.
+//! Preprocessing is one explicit step: the owner of a solver calls
+//! [`Solver::preprocess`] at most once, before the first search, and every
+//! technique above always runs. Clauses added afterwards join the simplified
+//! formula directly: [`Solver::add_clause`] maps their literals through the
+//! substitution table, transparently restores eliminated variables they
+//! mention (re-adding the stored clauses), and simplifies them against the
+//! top-level assignment, so refinement and blocking-clause loops keep
+//! working without re-running the pipeline.
 //!
 //! [SatELite]: https://doi.org/10.1007/11499107_5
 
@@ -38,45 +37,12 @@ use crate::clause::{Clause, ClauseDb};
 use crate::literal::{Lit, Var};
 use crate::solver::Solver;
 
-/// Tuning knobs for the preprocessing pipeline (see [`crate::SolverConfig`]).
-#[derive(Debug, Clone)]
-pub struct PreprocessConfig {
-    /// Master switch; when `false` the solver searches the formula as-is.
-    pub enabled: bool,
-    /// Maximum number of simplification rounds per `preprocess` call.
-    pub max_rounds: u32,
-    /// Enable equivalent-literal substitution over BIG SCCs.
-    pub equiv: bool,
-    /// Enable clause subsumption.
-    pub subsumption: bool,
-    /// Enable self-subsuming resolution (clause strengthening).
-    pub strengthen: bool,
-    /// Enable failed-literal probing.
-    pub probing: bool,
-    /// Enable bounded variable elimination.
-    pub bve: bool,
-    /// Maximum number of probes per `preprocess` call.
-    pub probe_limit: usize,
-    /// Skip BVE for variables occurring more often than this in either
-    /// polarity.
-    pub bve_occurrence_limit: usize,
-}
-
-impl Default for PreprocessConfig {
-    fn default() -> Self {
-        PreprocessConfig {
-            enabled: true,
-            max_rounds: 3,
-            equiv: true,
-            subsumption: true,
-            strengthen: true,
-            probing: true,
-            bve: true,
-            probe_limit: 4000,
-            bve_occurrence_limit: 10,
-        }
-    }
-}
+/// Maximum number of simplification rounds per [`Solver::preprocess`] call.
+const MAX_ROUNDS: u32 = 3;
+/// Maximum number of failed-literal probes per [`Solver::preprocess`] call.
+const PROBE_LIMIT: usize = 4000;
+/// BVE skips variables occurring more often than this in either polarity.
+const BVE_OCCURRENCE_LIMIT: usize = 10;
 
 /// What one [`Solver::preprocess`] call did to the formula.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -657,7 +623,6 @@ impl ResolventCounter {
 /// problem clauses. Builds up a list of [`SimpOp`]s plus newly fixed literals
 /// that the solver applies afterwards.
 struct Simplifier {
-    cfg: PreprocessConfig,
     num_vars: usize,
     /// Live working clauses (`None` = removed). Invariant: every live clause
     /// has length ≥ 2 and mentions only active, unfixed variables (up to
@@ -696,15 +661,12 @@ struct Simplifier {
 
 impl Simplifier {
     fn new(
-        cfg: PreprocessConfig,
         num_vars: usize,
         fixed: Vec<LBool>,
         frozen: Vec<bool>,
-        active: Vec<bool>,
         originals: Vec<(Vec<Lit>, u16, u32)>,
     ) -> Self {
         let mut simp = Simplifier {
-            cfg,
             num_vars,
             clauses: Vec::with_capacity(originals.len()),
             meta: Vec::with_capacity(originals.len()),
@@ -712,7 +674,8 @@ impl Simplifier {
             occ: vec![Vec::new(); 2 * num_vars],
             fixed,
             frozen,
-            active,
+            // Nothing has been eliminated or substituted yet.
+            active: vec![true; num_vars],
             subst_of: vec![None; num_vars],
             unit_queue: Vec::new(),
             unit_head: 0,
@@ -970,7 +933,7 @@ impl Simplifier {
         }
     }
 
-    /// Subsumption and (optionally) self-subsuming resolution.
+    /// Subsumption and self-subsuming resolution.
     ///
     /// C's literals are stamped into a per-literal mark array, so each
     /// candidate D is decided by one scan of D: clauses hold no duplicate
@@ -1022,9 +985,6 @@ impl Simplifier {
                 }
             }
             self.occ[best.code()] = candidates;
-            if !self.cfg.strengthen {
-                continue;
-            }
             // Self-subsuming resolution: if C \ {l} ⊆ D and ¬l ∈ D then the
             // resolvent of C and D on l subsumes D, so ¬l can be removed
             // from D.
@@ -1097,7 +1057,7 @@ impl Simplifier {
         #[cfg(test)]
         let mut failed = 0;
         for (v, &var_in_binary) in in_binary.iter().enumerate() {
-            if self.unsat || self.probes_used >= self.cfg.probe_limit {
+            if self.unsat || self.probes_used >= PROBE_LIMIT {
                 break;
             }
             let var = Var::from_index(v as u32);
@@ -1105,7 +1065,7 @@ impl Simplifier {
                 continue;
             }
             for lit in [Lit::positive(var), Lit::negative(var)] {
-                if self.fixed[v].is_assigned() || self.probes_used >= self.cfg.probe_limit {
+                if self.fixed[v].is_assigned() || self.probes_used >= PROBE_LIMIT {
                     break;
                 }
                 self.probes_used += 1;
@@ -1153,7 +1113,7 @@ impl Simplifier {
         // Within this pass every occurrence list stays ascending and free of
         // duplicates: it was just rebuilt in slot order, new resolvents take
         // the highest slot, and `propagate_fixed` only empties lists.
-        let limit = self.cfg.bve_occurrence_limit;
+        let limit = BVE_OCCURRENCE_LIMIT;
         let gather = |simp: &Simplifier, lit: Lit, list: &mut Vec<usize>| -> bool {
             list.clear();
             for &ci in &simp.occ[lit.code()] {
@@ -1278,27 +1238,27 @@ impl Simplifier {
         changed
     }
 
-    /// Runs the configured passes to fixpoint (bounded by `max_rounds`).
+    /// Runs the passes to fixpoint (bounded by [`MAX_ROUNDS`]).
     fn run(&mut self) {
-        for _round in 0..self.cfg.max_rounds {
+        for _round in 0..MAX_ROUNDS {
             if self.unsat {
                 break;
             }
             self.summary.rounds += 1;
             let mut changed = false;
             self.propagate_fixed();
-            if self.cfg.equiv && !self.unsat {
+            if !self.unsat {
                 changed |= self.equiv_pass();
                 self.propagate_fixed();
             }
-            if self.cfg.subsumption && !self.unsat {
+            if !self.unsat {
                 changed |= self.subsumption_pass();
                 self.propagate_fixed();
             }
-            if self.cfg.probing && !self.unsat {
+            if !self.unsat {
                 changed |= self.probe_pass();
             }
-            if self.cfg.bve && !self.unsat {
+            if !self.unsat {
                 changed |= self.bve_pass();
                 self.propagate_fixed();
             }
@@ -1433,30 +1393,27 @@ impl Solver {
         profile
     }
 
-    /// Runs the static preprocessing pipeline on the current clause database.
+    /// Runs the static preprocessing pipeline on the current clause database
+    /// and returns a summary of the changes made.
     ///
-    /// Invoked automatically before a solver's first [`Solver::solve`] when
-    /// enabled; later solves keep the simplified formula and let new clauses
-    /// join it incrementally. Calling it explicitly re-runs the pipeline if
-    /// clauses arrived since the last run and is otherwise a no-op. Returns
-    /// a summary of the changes made.
+    /// The pipeline runs at most once per solver, before its first search: a
+    /// second call, or a call after [`Solver::solve`], returns an empty
+    /// summary. Clauses added later join the simplified formula
+    /// incrementally (see the module documentation).
     pub fn preprocess(&mut self) -> PreprocessSummary {
         let mut summary = PreprocessSummary::default();
         if !self.ok {
             summary.unsat = true;
             return summary;
         }
-        if !self.config.preprocess.enabled || !self.pp_dirty {
+        if !std::mem::replace(&mut self.may_preprocess, false) {
             return summary;
         }
-        self.cancel_until(0);
-        self.model = None;
         if self.propagate().is_some() {
             self.ok = false;
             summary.unsat = true;
             return summary;
         }
-        self.pp_dirty = false;
 
         summary.clauses_before = self.db.num_original as u64;
         summary.literals_before = self.db.literal_count;
@@ -1472,20 +1429,8 @@ impl Solver {
         let fixed: Vec<LBool> = (0..self.num_vars())
             .map(|v| self.assignment.value_var(Var::from_index(v as u32)))
             .collect();
-        let active: Vec<bool> = self
-            .var_state
-            .iter()
-            .map(|&s| s == VarState::Active)
-            .collect();
 
-        let mut simp = Simplifier::new(
-            self.config.preprocess.clone(),
-            self.num_vars(),
-            fixed,
-            self.frozen.clone(),
-            active,
-            originals,
-        );
+        let mut simp = Simplifier::new(self.num_vars(), fixed, self.frozen.clone(), originals);
         simp.run();
         self.stats.pp_probe_visits += simp.probe_visits;
         self.stats.pp_subsume_checks += simp.subsume_checks;
@@ -1559,43 +1504,9 @@ impl Solver {
             }
         }
 
-        // Filter learnt clauses: drop any that mention a removed variable
-        // (they remain implied by the surviving formula) or that are
-        // satisfied at the top level; strip falsified literals.
-        let mut kept_learnts: Vec<(Vec<Lit>, u32, f64, u32)> = Vec::new();
-        let mut learnt_units: Vec<Lit> = Vec::new();
-        for (_, clause) in self.db.live_learnt() {
-            if clause
-                .lits
-                .iter()
-                .any(|l| self.var_state[l.var().index()] != VarState::Active)
-            {
-                continue;
-            }
-            let mut lits = Vec::with_capacity(clause.lits.len());
-            let mut satisfied = false;
-            for &l in &clause.lits {
-                match self.assignment.value_lit(l) {
-                    LBool::True => {
-                        satisfied = true;
-                        break;
-                    }
-                    LBool::False => {}
-                    LBool::Undef => lits.push(l),
-                }
-            }
-            if satisfied || lits.is_empty() {
-                continue;
-            }
-            if lits.len() == 1 {
-                learnt_units.push(lits[0]);
-            } else {
-                kept_learnts.push((lits, clause.lbd, clause.activity, clause.mask));
-            }
-        }
-
-        // Rebuild the clause database and watches from scratch, carrying the
-        // provenance the simplifier tracked per clause slot.
+        // Rebuild the clause database (no search has run, so it holds no
+        // learnt clauses) and watches from scratch, carrying the provenance
+        // the simplifier tracked per clause slot.
         self.db = ClauseDb::new();
         for list in &mut self.watches {
             list.clear();
@@ -1609,23 +1520,10 @@ impl Solver {
             let cref = self.db.push(clause);
             self.attach_clause(cref);
         }
-        for (lits, lbd, activity, mask) in kept_learnts {
-            let mut clause = Clause::new(lits, true);
-            clause.lbd = lbd;
-            clause.activity = activity;
-            clause.mask = mask;
-            let cref = self.db.push(clause);
-            self.attach_clause(cref);
-        }
-        // All reasons referenced the old database; the trail is all top-level
-        // now, and conflict analysis never looks at level-0 reasons.
+        // All reasons referenced the old database; the trail is all top-level,
+        // and conflict analysis never looks at level-0 reasons.
         for reason in &mut self.reasons {
             *reason = None;
-        }
-        for lit in learnt_units {
-            if self.assignment.value_lit(lit) == LBool::Undef {
-                self.enqueue(lit, None);
-            }
         }
         // Re-propagate the whole trail against the rebuilt watch lists.
         self.qhead = 0;
@@ -1651,7 +1549,7 @@ impl Solver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SolveOutcome, SolverConfig};
+    use crate::SolveOutcome;
 
     fn vars(solver: &mut Solver, n: usize) -> Vec<Var> {
         (0..n).map(|_| solver.new_var()).collect()
@@ -1702,6 +1600,7 @@ mod tests {
         solver.add_clause([Lit::negative(v[1]), Lit::negative(v[0])]);
         solver.add_clause([Lit::positive(v[0]), Lit::positive(v[1])]);
         solver.add_clause([Lit::negative(v[1]), Lit::positive(v[0])]);
+        assert!(solver.preprocess().unsat);
         assert_eq!(solver.solve(), SolveOutcome::Unsat);
     }
 
@@ -1745,20 +1644,24 @@ mod tests {
 
     #[test]
     fn probing_fixes_failed_literals() {
-        // ¬x0 propagates a conflict: (x0 ∨ x1) ∧ (x0 ∨ ¬x1) force x0.
+        // x0 → x1, x0 → x2 and ¬x1 ∨ ¬x2: probing x0 propagates a conflict,
+        // so ¬x0 is fixed. No other pass applies: the implication graph has
+        // no cycle, no clause subsumes or strengthens another, and frozen
+        // variables are never eliminated.
         let mut solver = Solver::new();
-        let v = vars(&mut solver, 2);
+        let v = vars(&mut solver, 3);
         for &var in &v {
             solver.freeze_var(var);
         }
-        let config = solver.config_mut();
-        config.preprocess.bve = false;
-        solver.add_clause([Lit::positive(v[0]), Lit::positive(v[1])]);
-        solver.add_clause([Lit::positive(v[0]), Lit::negative(v[1])]);
+        solver.add_clause([Lit::negative(v[0]), Lit::positive(v[1])]);
+        solver.add_clause([Lit::negative(v[0]), Lit::positive(v[2])]);
+        solver.add_clause([Lit::negative(v[1]), Lit::negative(v[2])]);
         let summary = solver.preprocess();
-        assert!(summary.fixed >= 1, "probing should fix x0: {summary}");
+        assert!(summary.probes > 0, "{summary}");
+        assert_eq!(summary.fixed, 1, "probing should fix ¬x0: {summary}");
+        assert_eq!(summary.strengthened + summary.subsumed, 0, "{summary}");
         assert_eq!(solver.solve(), SolveOutcome::Sat);
-        assert!(solver.model().unwrap().value(v[0]));
+        assert!(!solver.model().unwrap().value(v[0]));
     }
 
     #[test]
@@ -1809,6 +1712,7 @@ mod tests {
         let v = vars(&mut solver, 3);
         solver.add_clause([Lit::positive(v[0]), Lit::positive(v[1])]);
         solver.add_clause([Lit::negative(v[1]), Lit::positive(v[2])]);
+        assert!(solver.preprocess().eliminated >= 1);
         assert_eq!(solver.solve(), SolveOutcome::Sat);
         // Force each variable in turn through blocking clauses; models must
         // keep satisfying the original formula.
@@ -1835,6 +1739,7 @@ mod tests {
             Lit::positive(v[1]),
             Lit::positive(v[2]),
         ]);
+        solver.preprocess();
         let mut count = 0;
         while solver.solve() == SolveOutcome::Sat {
             count += 1;
@@ -1847,28 +1752,61 @@ mod tests {
     }
 
     #[test]
-    fn preprocess_is_idempotent_until_new_clauses() {
+    fn preprocess_runs_at_most_once() {
         let mut solver = Solver::new();
         let v = vars(&mut solver, 2);
         solver.add_clause([Lit::positive(v[0]), Lit::positive(v[1])]);
         let first = solver.preprocess();
         assert!(first.rounds > 0);
-        let second = solver.preprocess();
-        assert_eq!(second.rounds, 0, "no new clauses, nothing to do");
+        assert_eq!(solver.preprocess(), PreprocessSummary::default());
         solver.add_clause([Lit::negative(v[0]), Lit::positive(v[1])]);
-        let third = solver.preprocess();
-        assert!(third.rounds > 0);
+        assert_eq!(solver.preprocess(), PreprocessSummary::default());
+        assert_eq!(solver.stats().pp_rounds, first.rounds);
+    }
+
+    #[test]
+    fn preprocess_after_search_is_a_no_op() {
+        // x1 is eliminable: (x0 ∨ x1) ∧ (¬x1 ∨ x2) resolves to (x0 ∨ x2).
+        let mut solver = Solver::new();
+        let v = vars(&mut solver, 3);
+        let mut clauses = vec![
+            vec![Lit::positive(v[0]), Lit::positive(v[1])],
+            vec![Lit::negative(v[1]), Lit::positive(v[2])],
+        ];
+        for clause in &clauses {
+            solver.add_clause(clause.iter().copied());
+        }
+        assert!(solver.preprocess().eliminated >= 1);
+        assert!(!solver.is_active_var(v[1]));
+        assert_eq!(solver.solve(), SolveOutcome::Sat);
+        // A clause over the eliminated variable restores it; preprocessing
+        // does not run again.
+        clauses.push(vec![Lit::negative(v[1]), Lit::negative(v[0])]);
+        solver.add_clause(clauses[2].iter().copied());
+        assert!(solver.is_active_var(v[1]));
+        let rounds = solver.stats().pp_rounds;
+        assert_eq!(solver.preprocess(), PreprocessSummary::default());
+        assert_eq!(solver.stats().pp_rounds, rounds);
+        assert_eq!(solver.solve(), SolveOutcome::Sat);
+        let m = solver.model().unwrap();
+        for clause in &clauses {
+            assert!(
+                clause.iter().any(|&l| m.value(l.var()) == l.is_positive()),
+                "model violates {clause:?}"
+            );
+        }
     }
 
     #[test]
     fn disabled_preprocessing_changes_nothing() {
-        let mut config = SolverConfig::default();
-        config.preprocess.enabled = false;
-        let mut solver = Solver::with_config(config);
+        // Without a `preprocess` call the solver searches the formula as
+        // added.
+        let mut solver = Solver::new();
         let v = vars(&mut solver, 2);
         solver.add_clause([Lit::positive(v[0]), Lit::positive(v[1])]);
-        let summary = solver.preprocess();
-        assert_eq!(summary, PreprocessSummary::default());
+        assert_eq!(solver.solve(), SolveOutcome::Sat);
+        assert!(solver.is_active_var(v[0]) && solver.is_active_var(v[1]));
+        assert_eq!(solver.stats().pp_rounds, 0);
         assert_eq!(solver.stats().pp_eliminated, 0);
     }
 
@@ -1924,12 +1862,13 @@ mod tests {
             }
 
             let run = |enabled: bool| {
-                let mut config = SolverConfig::default();
-                config.preprocess.enabled = enabled;
-                let mut solver = Solver::with_config(config);
+                let mut solver = Solver::new();
                 let vs: Vec<Var> = (0..num_vars).map(|_| solver.new_var()).collect();
                 for clause in &clauses {
                     solver.add_clause(clause.iter().map(|&(v, neg)| Lit::new(vs[v], neg)));
+                }
+                if enabled {
+                    solver.preprocess();
                 }
                 let outcome = solver.solve();
                 let model = solver.model().cloned();
@@ -2131,11 +2070,8 @@ mod tests {
         }
     }
 
-    fn load_instance(inst: &Instance, config: PreprocessConfig) -> Solver {
-        let mut solver = Solver::with_config(SolverConfig {
-            preprocess: config,
-            ..SolverConfig::default()
-        });
+    fn load_instance(inst: &Instance) -> Solver {
+        let mut solver = Solver::new();
         let vs = vars(&mut solver, inst.num_vars);
         for &v in &inst.frozen {
             solver.freeze_var(vs[v]);
@@ -2149,42 +2085,42 @@ mod tests {
         solver
     }
 
-    /// Digests, per instance, recorded from the simplifier before its
-    /// probing and subsumption passes were rewritten around watched literals
-    /// and literal marks. Any change in what the simplifier outputs (clause
-    /// order, literal order, provenance, elimination stack, fixed literals,
-    /// summary) changes a digest; the rewrite must leave every one intact.
+    /// Digests, per instance, recorded from the configurable pipeline that
+    /// the one fixed pass replaced; the replacement reproduces each one. Any
+    /// change in what the simplifier outputs (clause order, literal order,
+    /// provenance, elimination stack, fixed literals, summary) or in the
+    /// search and restoration that follow it changes a digest.
     const GOLDEN: &[(&str, u64)] = &[
         ("golden_sat", 0x895e434c1fcec5b2),
         ("php_4_3", 0x9881ae9780b2b882),
-        ("random_1", 0x862268c573ec1c97),
-        ("random_2", 0x09e8a7b6822755eb),
-        ("random_3", 0x0b78a008d7181d84),
-        ("random_4", 0xc5b5575744566137),
-        ("random_5", 0xb17ec1a3c2c877df),
-        ("random_6", 0xe50bd9f7f92cf75a),
-        ("random_7", 0x5acb1cada93afd66),
-        ("random_8", 0x4e8148da11d3bfc1),
-        ("random_9", 0x61c48e8b3058486b),
-        ("random_10", 0xf824aef630192d95),
-        ("random_11", 0xfe0d193c76253f39),
-        ("random_12", 0xc5484fadf98a5c15),
-        ("random_13", 0xaebebf54c4c5c117),
-        ("random_14", 0x9b8cf4208b846719),
-        ("random_15", 0xd5b76da7b4f74fc0),
-        ("random_16", 0x8557e1fef62876b7),
-        ("random_17", 0x4c59eed544dbf35d),
-        ("random_18", 0x1ee410c1ea886510),
-        ("random_19", 0x1e195c1b1e02b212),
-        ("random_20", 0x95867532f25eeffd),
-        ("cegar_100", 0x2a8c5dfc5d94b527),
+        ("random_1", 0xcd2aa9f90f8aae31),
+        ("random_2", 0xbd6acfcb20f863eb),
+        ("random_3", 0xc65511a1915913bd),
+        ("random_4", 0xf251d979121b863a),
+        ("random_5", 0x237a592265e5c074),
+        ("random_6", 0x38c363dcb516a7b7),
+        ("random_7", 0x8963a553863ebec6),
+        ("random_8", 0x25b8ca0fc78d8d98),
+        ("random_9", 0x9a8e599e45af1d25),
+        ("random_10", 0xaccb60f3ef864246),
+        ("random_11", 0xbad1f3b87801363b),
+        ("random_12", 0xc9692f5ad3227441),
+        ("random_13", 0x06a6c68b82bbc5de),
+        ("random_14", 0x5f5ed4f0a56fa061),
+        ("random_15", 0x404f9d1a78a65cef),
+        ("random_16", 0x76abca9ad1deb00f),
+        ("random_17", 0xa089369dc974f9e2),
+        ("random_18", 0xc2988012f2fb76d4),
+        ("random_19", 0x8657d1460d0ee3d5),
+        ("random_20", 0xc7366dacdeb40687),
+        ("cegar_100", 0x427b48513899f65b),
     ];
 
     #[test]
     fn golden_identity() {
         PATHS.with(|paths| paths.set(PathCounts::default()));
         let mut actual: Vec<(String, u64)> = Vec::new();
-        let mut probe_fixed = 0;
+        let mut probes = 0;
         let mut strengthened = 0;
         let mut subsumed = 0;
         let mut eliminated = 0;
@@ -2205,7 +2141,7 @@ mod tests {
                 split: clauses.len() / 2,
                 clauses,
             };
-            let mut solver = load_instance(&inst, PreprocessConfig::default());
+            let mut solver = load_instance(&inst);
             let summary = solver.preprocess();
             let mut h = Fnv(0xcbf2_9ce4_8422_2325);
             digest_state(&mut h, &solver, &summary);
@@ -2214,42 +2150,23 @@ mod tests {
 
         for seed in 1..=20u64 {
             let inst = random_instance(seed);
-            let mut config = PreprocessConfig::default();
-            match seed % 7 {
-                3 => config.probe_limit = 40,
-                5 => config.strengthen = false,
-                6 => config.max_rounds = 1,
-                _ => {}
-            }
             let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-            let mut solver = load_instance(&inst, config);
+            let mut solver = load_instance(&inst);
             let summary = solver.preprocess();
             digest_state(&mut h, &solver, &summary);
+            probes += summary.probes;
             strengthened += summary.strengthened;
             subsumed += summary.subsumed;
             eliminated += summary.eliminated;
             equivalences += summary.equivalences;
-
-            // Probing alone: the instances have no unit clauses, so every
-            // fixed literal here comes from a failed probe.
-            let probe_only = PreprocessConfig {
-                equiv: false,
-                subsumption: false,
-                bve: false,
-                max_rounds: 1,
-                ..PreprocessConfig::default()
-            };
-            let mut solver = load_instance(&inst, probe_only);
-            let summary = solver.preprocess();
-            digest_state(&mut h, &solver, &summary);
-            probe_fixed += summary.fixed;
             actual.push((format!("random_{seed}"), h.0));
         }
 
-        // The CEGAR pattern: preprocess, solve, block the model (which
-        // mentions eliminated variables and restores them), preprocess again.
+        // The CEGAR pattern: preprocess once, then solve and block the model
+        // three times (the blocking clauses mention eliminated variables and
+        // restore them).
         let inst = random_instance(100);
-        let mut solver = load_instance(&inst, PreprocessConfig::default());
+        let mut solver = load_instance(&inst);
         let mut h = Fnv(0xcbf2_9ce4_8422_2325);
         let summary = solver.preprocess();
         digest_state(&mut h, &solver, &summary);
@@ -2266,8 +2183,7 @@ mod tests {
                 })
                 .collect();
             solver.add_clause(blocking);
-            let summary = solver.preprocess();
-            digest_state(&mut h, &solver, &summary);
+            digest_state(&mut h, &solver, &PreprocessSummary::default());
         }
         restored += solver.stats().pp_restored;
         actual.push(("cegar_100".to_string(), h.0));
@@ -2285,7 +2201,7 @@ mod tests {
             "simplifier output changed; digests now:\n{table}"
         );
 
-        assert!(probe_fixed > 0, "no instance fixed a literal by probing");
+        assert!(probes > 0, "no instance probed a literal");
         assert!(strengthened > 0, "no instance strengthened a clause");
         assert!(subsumed > 0, "no instance subsumed a clause");
         assert!(eliminated > 0, "no instance eliminated a variable");

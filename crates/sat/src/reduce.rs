@@ -110,12 +110,11 @@ mod tests {
     fn locked_bitset_agrees_with_reason_scan() {
         // Stop a pigeonhole proof mid-search with a tiny learnt limit, so
         // the database holds learnt clauses and reductions have run.
-        let mut config = SolverConfig {
+        let config = SolverConfig {
             learnt_limit: 4,
             max_conflicts: Some(60),
             ..SolverConfig::default()
         };
-        config.preprocess.enabled = false;
         let mut solver = Solver::with_config(config);
         let (pigeons, holes) = (7, 6);
         let vars: Vec<Var> = (0..pigeons * holes).map(|_| solver.new_var()).collect();

@@ -11,7 +11,7 @@ use crate::flight::{
 use crate::heap::ActivityHeap;
 use crate::literal::{Lit, Var};
 use crate::model::Model;
-use crate::preprocess::{ElimEntry, PreprocessConfig, RestoredClause, VarState};
+use crate::preprocess::{ElimEntry, RestoredClause, VarState};
 use crate::stats::SolverStats;
 use crate::theory::{NullTheory, Theory, TheoryResult};
 
@@ -34,9 +34,6 @@ pub struct SolverConfig {
     /// Optional conflict budget. When exceeded the solver returns
     /// [`SolveOutcome::Unknown`].
     pub max_conflicts: Option<u64>,
-    /// Static preprocessing pipeline configuration (see
-    /// [`crate::PreprocessConfig`]).
-    pub preprocess: PreprocessConfig,
     /// Emit a progress [`Heartbeat`] every this many conflicts (`0` disables
     /// heartbeats entirely).
     pub heartbeat_every: u64,
@@ -48,7 +45,6 @@ impl Default for SolverConfig {
             restart_interval: 100,
             learnt_limit: 4000,
             max_conflicts: None,
-            preprocess: PreprocessConfig::default(),
             heartbeat_every: 10_000,
         }
     }
@@ -120,11 +116,9 @@ pub struct Solver {
     pub(crate) elim_stack: Vec<ElimEntry>,
     /// Stored clauses of eliminated variables, for incremental restoration.
     pub(crate) restore_clauses: Vec<Vec<RestoredClause>>,
-    /// Whether clauses arrived since the last preprocessing run.
-    pub(crate) pp_dirty: bool,
-    /// Whether a solve call has started; the implicit preprocessing pass
-    /// runs only before the first one.
-    pub(crate) solved_once: bool,
+    /// Whether [`Solver::preprocess`] may still run: it runs at most once,
+    /// before the first search.
+    pub(crate) may_preprocess: bool,
     /// Per-family attribution of solver work (see [`crate::flight`]).
     pub(crate) attribution: FamilyAttribution,
     /// Family tag applied to subsequently added problem clauses.
@@ -191,8 +185,7 @@ impl Solver {
             subst: Vec::new(),
             elim_stack: Vec::new(),
             restore_clauses: Vec::new(),
-            pp_dirty: false,
-            solved_once: false,
+            may_preprocess: true,
             attribution: FamilyAttribution::with_reserved(),
             emit_family: crate::flight::FAMILY_DEFAULT,
             analysis_mask: 0,
@@ -269,7 +262,6 @@ impl Solver {
         family: u16,
         mask: u32,
     ) -> bool {
-        self.pp_dirty = true;
         let mut lits: Vec<Lit> = lits
             .into_iter()
             .map(|lit| self.resolve_subst(lit))
@@ -440,6 +432,7 @@ impl Solver {
             return SolveOutcome::Unsat;
         }
         self.model = None;
+        self.may_preprocess = false;
         self.cancel_until(0);
         theory.backtrack_to(0);
 
@@ -450,15 +443,6 @@ impl Solver {
         self.hb_last_conflicts = self.stats.conflicts;
         self.hb_seq = 0;
         self.heartbeat_ring.clear();
-
-        // The implicit pass runs once; later clauses join the simplified
-        // formula through `add_clause_with_provenance`.
-        if !std::mem::replace(&mut self.solved_once, true) && self.pp_dirty {
-            self.preprocess();
-            if !self.ok {
-                return SolveOutcome::Unsat;
-            }
-        }
 
         let start_conflicts = self.stats.conflicts;
         let mut restart_count: u64 = 0;

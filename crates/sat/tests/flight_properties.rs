@@ -26,11 +26,11 @@ fn build_tagged(
     max_conflicts: Option<u64>,
     heartbeat_every: u64,
 ) -> Solver {
-    let mut config = SolverConfig::default();
-    config.preprocess.enabled = preprocess;
-    config.max_conflicts = max_conflicts;
-    config.heartbeat_every = heartbeat_every;
-    let mut solver = Solver::with_config(config);
+    let mut solver = Solver::with_config(SolverConfig {
+        max_conflicts,
+        heartbeat_every,
+        ..SolverConfig::default()
+    });
     let families = [
         solver.intern_family("feasibility"),
         solver.intern_family("isolation:causal"),
@@ -44,6 +44,9 @@ fn build_tagged(
                 .iter()
                 .map(|&(v, neg)| Lit::new(vars[usize::from(v) % num_vars], neg)),
         );
+    }
+    if preprocess {
+        solver.preprocess();
     }
     solver
 }
@@ -152,11 +155,11 @@ fn postmortem_names_a_dominant_family_for_a_budgeted_unknown() {
     // Pigeonhole 6-into-5, all clauses tagged as one axiom family, tiny
     // budget: the solve must end Unknown and the post-mortem must attribute
     // the fight to that family.
-    let mut config = SolverConfig::default();
-    config.preprocess.enabled = false;
-    config.max_conflicts = Some(50);
-    config.heartbeat_every = 5;
-    let mut solver = Solver::with_config(config);
+    let mut solver = Solver::with_config(SolverConfig {
+        max_conflicts: Some(50),
+        heartbeat_every: 5,
+        ..SolverConfig::default()
+    });
     let fam = solver.intern_family("isolation:snapshot");
     solver.set_emit_family(fam);
     let n = 6;

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use isopredict_sat::{Lit, SolveOutcome, Solver, SolverConfig, Var};
+use isopredict_sat::{Lit, SolveOutcome, Solver, Var};
 
 /// Raw clause material: variable indices are reduced modulo the instance's
 /// variable count when the formula is built (the vendored proptest has no
@@ -28,10 +28,8 @@ fn normalize(num_vars: usize, raw: &[Vec<(u8, bool)>]) -> Vec<Vec<(u8, bool)>> {
         .collect()
 }
 
-fn build(num_vars: usize, clauses: &[Vec<(u8, bool)>], preprocess: bool) -> Solver {
-    let mut config = SolverConfig::default();
-    config.preprocess.enabled = preprocess;
-    let mut solver = Solver::with_config(config);
+fn build(num_vars: usize, clauses: &[Vec<(u8, bool)>]) -> Solver {
+    let mut solver = Solver::new();
     let vars: Vec<Var> = (0..num_vars).map(|_| solver.new_var()).collect();
     for clause in clauses {
         solver.add_clause(
@@ -73,8 +71,9 @@ proptest! {
         (num_vars, raw) in cnf_strategy()
     ) {
         let clauses = normalize(num_vars, &raw);
-        let mut plain = build(num_vars, &clauses, false);
-        let mut preprocessed = build(num_vars, &clauses, true);
+        let mut plain = build(num_vars, &clauses);
+        let mut preprocessed = build(num_vars, &clauses);
+        preprocessed.preprocess();
         let plain_outcome = plain.solve();
         let pp_outcome = preprocessed.solve();
         prop_assert_eq!(plain_outcome, pp_outcome, "preprocessing changed the verdict");
@@ -98,13 +97,14 @@ proptest! {
         let clauses = normalize(num_vars, &raw);
         let extra = normalize(num_vars, &extra_raw);
 
-        let mut preprocessed = build(num_vars, &clauses, true);
+        let mut preprocessed = build(num_vars, &clauses);
+        preprocessed.preprocess();
         let first = preprocessed.solve();
 
         // Reference: a fresh solver over the combined formula, no pp.
         let mut combined = clauses.clone();
         combined.extend(extra.iter().cloned());
-        let mut reference = build(num_vars, &combined, false);
+        let mut reference = build(num_vars, &combined);
         let reference_outcome = reference.solve();
 
         if first == SolveOutcome::Unsat {
@@ -140,9 +140,9 @@ fn brute_force_sat(num_vars: usize, clauses: &[Vec<(u8, bool)>]) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The implicit pass runs once: after the first solve, batches of
-    /// clauses that mention eliminated and substituted variables join the
-    /// simplified formula without another preprocessing run, and every
+    /// Preprocessing runs once, before the first solve. Afterwards, batches
+    /// of clauses that mention eliminated and substituted variables join
+    /// the simplified formula without another preprocessing run, and every
     /// answer still agrees with brute force over all clauses so far.
     #[test]
     fn clause_batches_join_the_simplified_formula_without_reprocessing(
@@ -167,12 +167,13 @@ proptest! {
                 clauses.push(vec![(a, true), (b, false)]);
             }
         }
-        let mut solver = build(num_vars, &clauses, true);
+        let mut solver = build(num_vars, &clauses);
         for v in 0..num_vars {
             if frozen_mask >> v & 1 == 1 {
                 solver.freeze_var(Var::from_index(v as u32));
             }
         }
+        solver.preprocess();
         let first = solver.solve();
         prop_assert_eq!(first.is_sat(), brute_force_sat(num_vars, &clauses));
         let rounds = solver.stats().pp_rounds;
@@ -198,6 +199,8 @@ proptest! {
                 );
                 clauses.push(clause);
             }
+            // A no-op once the solver has searched.
+            solver.preprocess();
             let outcome = solver.solve();
             prop_assert_eq!(
                 outcome.is_sat(),
@@ -211,7 +214,7 @@ proptest! {
             prop_assert_eq!(
                 solver.stats().pp_rounds,
                 rounds,
-                "a later solve re-ran preprocessing"
+                "a later call re-ran preprocessing"
             );
         }
     }

@@ -56,8 +56,8 @@
 //! use isopredict_smt::{SmtResult, SmtSolver};
 //!
 //! let mut smt = SmtSolver::new();
-//! let a = smt.bool_var("a");
-//! let b = smt.bool_var("b");
+//! let a = smt.bool_var();
+//! let b = smt.bool_var();
 //! let or = smt.or([a, b]);
 //! let not_a = smt.not(a);
 //! smt.assert_term(or);

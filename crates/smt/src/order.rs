@@ -659,7 +659,7 @@ mod tests {
         let a = smt.order_node();
         let b = smt.order_node();
         let c = smt.order_node();
-        let escape = smt.bool_var("escape");
+        let escape = smt.bool_var();
         let ab = smt.less(a, b);
         let bc = smt.less(b, c);
         let ca = smt.less(c, a);

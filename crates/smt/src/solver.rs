@@ -148,12 +148,11 @@ impl SmtSolver {
         self.pool.false_id()
     }
 
-    /// Creates a fresh boolean atom. The name is kept for diagnostics only.
-    pub fn bool_var(&mut self, name: impl Into<String>) -> TermId {
+    /// Creates a fresh boolean atom.
+    pub fn bool_var(&mut self) -> TermId {
         let id = self.bool_var_count;
         self.bool_var_count += 1;
         let term = self.pool.intern(Term::BoolVar(id));
-        self.pool.set_name(term, name.into());
         let lit = Lit::positive(self.sat.new_var());
         self.lit_of.insert(term, lit);
         term
@@ -239,12 +238,6 @@ impl SmtSolver {
             data.name
         );
         self.pool.intern(Term::FdEq(var, value as u32))
-    }
-
-    /// The domain size of a finite-domain variable.
-    #[must_use]
-    pub fn fd_domain_size(&self, var: FdVar) -> usize {
-        self.fd_vars[var.id as usize].domain_size
     }
 
     /// Creates a fresh strict-order node (an integer-valued symbol that only
@@ -336,12 +329,6 @@ impl SmtSolver {
         self.and([forward, backward])
     }
 
-    /// Human-readable name of a named atom, if any.
-    #[must_use]
-    pub fn term_name(&self, term: TermId) -> Option<&str> {
-        self.pool.name(term)
-    }
-
     // ------------------------------------------------------------------
     // Assertions and solving
     // ------------------------------------------------------------------
@@ -366,16 +353,11 @@ impl SmtSolver {
         }
     }
 
-    /// Enables or disables SAT-core preprocessing (enabled by default).
-    pub fn set_preprocessing(&mut self, enabled: bool) {
-        self.sat.config_mut().preprocess.enabled = enabled;
-    }
-
-    /// Runs SAT-core preprocessing immediately (it otherwise runs at the
-    /// start of the first [`SmtSolver::check`]; later assertions join the
-    /// simplified formula incrementally); exposed so callers can time it
-    /// under a dedicated observability span. Idempotent until new assertions
-    /// arrive.
+    /// Runs SAT-core preprocessing over the formulas asserted so far. It
+    /// runs at most once, before the first [`SmtSolver::check`]; later calls
+    /// return an empty summary, and later assertions join the simplified
+    /// formula incrementally. Without a call the solver searches the formula
+    /// as asserted.
     pub fn preprocess(&mut self) -> PreprocessSummary {
         self.sat.preprocess()
     }
@@ -479,7 +461,7 @@ mod tests {
         let mut smt = SmtSolver::new();
         let t = smt.true_term();
         let f = smt.false_term();
-        let a = smt.bool_var("a");
+        let a = smt.bool_var();
         assert_eq!(smt.and([t, a]), a);
         assert_eq!(smt.and([f, a]), f);
         assert_eq!(smt.or([f, a]), a);
@@ -539,10 +521,9 @@ mod tests {
 
     #[test]
     fn conflict_budget_reports_unknown() {
+        // Not preprocessed: variable elimination would prove this instance
+        // outright, and the check must spend conflicts in search.
         let mut smt = SmtSolver::new();
-        // Preprocessing (variable elimination) proves this instance outright;
-        // disable it so the check actually spends conflicts in search.
-        smt.set_preprocessing(false);
         smt.set_conflict_budget(Some(1));
         // Pigeonhole-style FD problem: 4 variables over 3 values, all distinct.
         let vars: Vec<FdVar> = (0..4).map(|i| smt.fd_var(format!("p{i}"), 3)).collect();
@@ -566,7 +547,7 @@ mod tests {
     #[test]
     fn model_bool_is_none_without_a_model() {
         let mut smt = SmtSolver::new();
-        let a = smt.bool_var("a");
+        let a = smt.bool_var();
         assert_eq!(smt.model_bool(a), None);
         let na = smt.not(a);
         smt.assert_term(a);
@@ -606,7 +587,6 @@ mod tests {
     fn heartbeats_and_postmortem_surface_through_the_facade() {
         use std::sync::{Arc, Mutex};
         let mut smt = SmtSolver::new();
-        smt.set_preprocessing(false);
         smt.set_conflict_budget(Some(10));
         smt.set_heartbeat_every(1);
         let beats = Arc::new(Mutex::new(0u64));
@@ -642,7 +622,7 @@ mod tests {
     #[test]
     fn debug_output_mentions_sizes() {
         let mut smt = SmtSolver::new();
-        let _ = smt.bool_var("a");
+        let _ = smt.bool_var();
         let _ = smt.fd_var("x", 2);
         let _ = smt.order_node();
         let debug = format!("{smt:?}");

@@ -61,8 +61,8 @@ mod tests {
     #[test]
     fn stats_grow_with_the_encoding() {
         let mut smt = SmtSolver::new();
-        let a = smt.bool_var("a");
-        let b = smt.bool_var("b");
+        let a = smt.bool_var();
+        let b = smt.bool_var();
         let or = smt.or([a, b]);
         smt.assert_term(or);
         let stats = smt.stats();

@@ -47,7 +47,6 @@ pub enum Term {
 pub(crate) struct TermPool {
     terms: Vec<Term>,
     index: HashMap<Term, TermId>,
-    names: HashMap<TermId, String>,
 }
 
 impl TermPool {
@@ -89,14 +88,6 @@ impl TermPool {
     pub(crate) fn len(&self) -> usize {
         self.terms.len()
     }
-
-    pub(crate) fn set_name(&mut self, id: TermId, name: String) {
-        self.names.insert(id, name);
-    }
-
-    pub(crate) fn name(&self, id: TermId) -> Option<&str> {
-        self.names.get(&id).map(String::as_str)
-    }
 }
 
 #[cfg(test)]
@@ -122,14 +113,5 @@ mod tests {
         let and2 = pool.intern(Term::And(vec![a, c]));
         assert_eq!(and1, and2);
         assert_eq!(pool.len(), 5); // true, false, two vars, one and
-    }
-
-    #[test]
-    fn names_are_remembered() {
-        let mut pool = TermPool::new();
-        let a = pool.intern(Term::BoolVar(0));
-        pool.set_name(a, "so(t1,t2)".to_string());
-        assert_eq!(pool.name(a), Some("so(t1,t2)"));
-        assert_eq!(pool.name(pool.true_id()), None);
     }
 }

@@ -120,9 +120,9 @@ mod tests {
         // (a ∧ (b ∨ ¬c)) ∨ (¬a ∧ c) with a forced false and c forced true
         // leaves exactly the right branch.
         let mut smt = SmtSolver::new();
-        let a = smt.bool_var("a");
-        let b = smt.bool_var("b");
-        let c = smt.bool_var("c");
+        let a = smt.bool_var();
+        let b = smt.bool_var();
+        let c = smt.bool_var();
         let not_c = smt.not(c);
         let b_or_not_c = smt.or([b, not_c]);
         let left = smt.and([a, b_or_not_c]);
@@ -149,8 +149,8 @@ mod tests {
     #[test]
     fn implication_and_iff_behave_as_expected() {
         let mut smt = SmtSolver::new();
-        let a = smt.bool_var("a");
-        let b = smt.bool_var("b");
+        let a = smt.bool_var();
+        let b = smt.bool_var();
         let imp = smt.implies(a, b);
         let iff = smt.iff(a, b);
         smt.assert_term(imp);
@@ -163,9 +163,9 @@ mod tests {
     #[test]
     fn deeply_nested_terms_do_not_recurse_excessively() {
         let mut smt = SmtSolver::new();
-        let mut current = smt.bool_var("x0");
-        for i in 1..200 {
-            let next = smt.bool_var(format!("x{i}"));
+        let mut current = smt.bool_var();
+        for _ in 1..200 {
+            let next = smt.bool_var();
             current = smt.and([current, next]);
         }
         smt.assert_term(current);

@@ -102,16 +102,13 @@ fn brute_force_sat(instance: &Instance) -> bool {
 /// Encodes `instance`, solves it, and checks the answer and the model.
 fn solve_and_check(instance: &Instance, preprocess: bool) -> Result<(), TestCaseError> {
     let mut smt = SmtSolver::new();
-    smt.set_preprocessing(preprocess);
     let nodes: Vec<OrderNode> = (0..instance.nodes).map(|_| smt.order_node()).collect();
     let atoms: Vec<TermId> = instance
         .atoms
         .iter()
         .map(|&(from, to)| smt.less(nodes[from as usize], nodes[to as usize]))
         .collect();
-    let escapes: Vec<TermId> = (0..instance.escapes)
-        .map(|index| smt.bool_var(format!("escape{index}")))
-        .collect();
+    let escapes: Vec<TermId> = (0..instance.escapes).map(|_| smt.bool_var()).collect();
     for clause in &instance.clauses {
         let literals: Vec<TermId> = clause
             .iter()
@@ -125,6 +122,9 @@ fn solve_and_check(instance: &Instance, preprocess: bool) -> Result<(), TestCase
         smt.assert_term(disjunction);
     }
 
+    if preprocess {
+        smt.preprocess();
+    }
     let expected = brute_force_sat(instance);
     let result = smt.check();
     prop_assert_eq!(

@@ -9,8 +9,8 @@ use crate::isolation::IsolationLevel;
 ///
 /// The check is the axiomatic one: tentatively extend the recorded history
 /// with the candidate read, commit the open transaction's prefix, and test the
-/// isolation level on the resulting history through its
-/// [`isopredict_history::IsolationSemantics`] seam row. Histories hold a few
+/// isolation level on the resulting history with
+/// [`IsolationLevel::is_conformant`]. Histories hold a few
 /// dozen transactions, so the checks are cheap.
 pub(crate) fn legal_writers(
     builder: &HistoryBuilder,
@@ -30,7 +30,7 @@ pub(crate) fn legal_writers(
 /// Whether reading `key` from `writer` keeps the execution valid under `level`.
 ///
 /// Levels whose semantics constrain write–write conflicts (first-committer
-/// wins; see [`isopredict_history::IsolationSemantics::write_conflicts`])
+/// wins; see [`IsolationLevel::write_conflicts`])
 /// additionally charge the open transaction with its *declared* write set, so
 /// that a read-modify-write never observes a writer it would conflict with at
 /// commit time. Declared writes are an over-approximation supplied by the
@@ -43,16 +43,15 @@ pub(crate) fn is_legal(
     writer: TxnId,
     level: IsolationLevel,
 ) -> bool {
-    let semantics = level.semantics();
     let mut tentative = builder.clone();
     tentative.read(open_txn, key, writer);
-    if semantics.write_conflicts {
+    if level.write_conflicts() {
         for write_key in declared_writes {
             tentative.write(open_txn, write_key);
         }
     }
     tentative.commit(open_txn);
-    semantics.is_conformant(&tentative.finish())
+    level.is_conformant(&tentative.finish())
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Store execution modes.
 //!
-//! The isolation levels themselves — and the per-level semantics the chooser
+//! The isolation levels themselves — and the per-level methods the chooser
 //! dispatches through — live in [`isopredict_history::isolation`]; the store
 //! re-exports [`IsolationLevel`] so its API is self-contained.
 

@@ -12,12 +12,55 @@ pub enum WorkloadSize {
     Large,
 }
 
+impl WorkloadSize {
+    /// Both sizes, small first.
+    pub const ALL: [WorkloadSize; 2] = [WorkloadSize::Small, WorkloadSize::Large];
+
+    /// The size's CLI and report name.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            WorkloadSize::Small => "small",
+            WorkloadSize::Large => "large",
+        }
+    }
+}
+
 impl std::fmt::Display for WorkloadSize {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WorkloadSize::Small => write!(f, "small"),
-            WorkloadSize::Large => write!(f, "large"),
+        f.write_str(self.name())
+    }
+}
+
+/// Error returned when parsing a [`WorkloadSize`] from an unknown name.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParseWorkloadSizeError {
+    attempted: String,
+}
+
+impl std::fmt::Display for ParseWorkloadSizeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "unknown size `{}`; accepted:", self.attempted)?;
+        for size in WorkloadSize::ALL {
+            write!(f, " {}", size.name())?;
         }
+        Ok(())
+    }
+}
+
+impl std::error::Error for ParseWorkloadSizeError {}
+
+impl std::str::FromStr for WorkloadSize {
+    type Err = ParseWorkloadSizeError;
+
+    /// Parses a size by name, case-insensitively (`small`, `LARGE`, …).
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        WorkloadSize::ALL
+            .into_iter()
+            .find(|size| size.name().eq_ignore_ascii_case(s))
+            .ok_or_else(|| ParseWorkloadSizeError {
+                attempted: s.to_string(),
+            })
     }
 }
 
@@ -92,5 +135,15 @@ mod tests {
         assert_eq!(WorkloadConfig::sized(WorkloadSize::Large, 7), large);
         assert_eq!(WorkloadSize::Small.to_string(), "small");
         assert_eq!(WorkloadSize::Large.to_string(), "large");
+    }
+
+    #[test]
+    fn sizes_parse_case_insensitively() {
+        for size in WorkloadSize::ALL {
+            assert_eq!(size.to_string().parse(), Ok(size));
+            assert_eq!(size.name().to_uppercase().parse(), Ok(size));
+        }
+        let error = "huge".parse::<WorkloadSize>().unwrap_err().to_string();
+        assert_eq!(error, "unknown size `huge`; accepted: small large");
     }
 }

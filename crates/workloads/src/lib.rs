@@ -58,7 +58,7 @@ mod runner;
 mod spec;
 
 pub use assertions::AssertionViolation;
-pub use config::{WorkloadConfig, WorkloadSize};
+pub use config::{ParseWorkloadSizeError, WorkloadConfig, WorkloadSize};
 pub use runner::{run, RunOutput, Schedule};
 pub use spec::{Benchmark, ParseBenchmarkError, PlannedTxn, TxnResult};
 pub use stats::WorkloadCharacteristics;
