@@ -127,12 +127,6 @@ pub struct PredictorConfig {
     /// disable to measure raw search or to rule preprocessing out when
     /// debugging a prediction.
     pub preprocess: bool,
-    /// Emit a solver progress heartbeat every this many conflicts (0
-    /// disables). Heartbeats flow through the obs event stream (schema v2)
-    /// and feed the bounded ring retained for `unknown` post-mortems; they
-    /// are stream-only telemetry and never touch the deterministic report
-    /// half.
-    pub heartbeat_every: u64,
 }
 
 impl Default for PredictorConfig {
@@ -143,7 +137,6 @@ impl Default for PredictorConfig {
             conflict_budget: Some(2_000_000),
             max_exact_candidates: 256,
             preprocess: true,
-            heartbeat_every: 10_000,
         }
     }
 }
@@ -182,6 +175,5 @@ mod tests {
         assert_eq!(config.strategy, Strategy::ApproxRelaxed);
         assert!(config.preprocess);
         assert!(config.max_exact_candidates > 0);
-        assert_eq!(config.heartbeat_every, 10_000);
     }
 }

@@ -137,7 +137,7 @@ impl<'h> Encoder<'h> {
                     .filter(|&w| w != txn.id)
                     .collect();
                 debug_assert!(candidates.contains(&observed));
-                let var = smt.fd_var(format!("choice({session},{})", event.pos), candidates.len());
+                let var = smt.fd_var(candidates.len());
                 choice.insert(
                     (session, event.pos),
                     ChoiceVar {
@@ -187,7 +187,7 @@ impl<'h> Encoder<'h> {
             });
             points.dedup();
             points.push(BoundaryPoint::Infinity);
-            let var = smt.fd_var(format!("boundary({session})"), points.len());
+            let var = smt.fd_var(points.len());
             boundary.insert(
                 session,
                 BoundaryVar {

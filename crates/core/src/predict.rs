@@ -5,9 +5,7 @@ use std::time::{Duration, Instant};
 
 use isopredict_history::{serializability, History, SerializabilityResult, TxnId};
 use isopredict_obs::{HeartbeatSample, Obs};
-use isopredict_smt::{
-    EncodingStats, Heartbeat, SmtResult, SmtSolver, SolverPostmortem, SolverStats, TheoryStats,
-};
+use isopredict_smt::{EncodingStats, Heartbeat, SmtResult, SmtSolver, SolverPostmortem};
 
 use crate::config::PredictorConfig;
 use crate::encode::unserializability::ApproxSymbols;
@@ -125,9 +123,11 @@ impl Predictor {
     /// reporting telemetry through `obs`: an `encode` span with
     /// `feasibility`/`isolation`/`unserializability` children, one `solve`
     /// span per solver call (labelled with its result; the first one holds
-    /// the `preprocess` span), `encode.*` size counters, and `solver.*` /
-    /// `pp.*` work counters diffed around each call. Pass [`Obs::off`] for
-    /// no telemetry; the cost is then a handful of branch checks.
+    /// the `preprocess` span), `encode.*` size counters, `solver.*` / `pp.*`
+    /// work counters (the solver's totals, counted once when the analysis
+    /// ends) and, every 10,000 conflicts, a solver heartbeat. Pass
+    /// [`Obs::off`] for no telemetry; the cost is then a handful of branch
+    /// checks.
     ///
     /// To analyse one communication component, restrict the history first
     /// (`isopredict-orchestrator`'s `ShardPlan::history_for`): the
@@ -153,15 +153,33 @@ impl Predictor {
     /// not another pass of the pipeline.
     #[must_use]
     pub fn predict(&self, observed: &History, obs: &Obs) -> PredictionOutcome {
+        let mut encoding = self.encode(observed, obs);
+        let outcome = self.solve(observed, &mut encoding, obs);
+        // The solver is this analysis's own and its counters are
+        // cumulative, so one read at the end is the analysis's total work.
+        for (name, total) in encoding.encoder.smt.work_counters() {
+            obs.count(name, total);
+        }
+        outcome
+    }
+
+    /// The solve loop shared by every strategy, run on a fresh encoding
+    /// (see [`Predictor::predict`]).
+    pub(crate) fn solve(
+        &self,
+        observed: &History,
+        encoding: &mut Encoding<'_>,
+        obs: &Obs,
+    ) -> PredictionOutcome {
         let Encoding {
-            mut encoder,
+            encoder,
             approx,
             families,
             stats,
             constraint_gen_time,
-        } = self.encode(observed, obs);
+        } = encoding;
         encoder.smt.set_conflict_budget(self.config.conflict_budget);
-        install_heartbeat_bridge(&mut encoder.smt, obs, self.config.heartbeat_every);
+        install_heartbeat_bridge(&mut encoder.smt, obs);
 
         let refines = self.config.strategy.is_exact();
         let mut solving_time = Duration::ZERO;
@@ -172,8 +190,6 @@ impl Predictor {
                     postmortem: Some(Box::new(encoder.smt.solver_postmortem())),
                 };
             }
-            let before = encoder.smt.solver_stats();
-            let theory_before = encoder.smt.theory_stats();
             #[expect(
                 clippy::disallowed_methods,
                 reason = "solving_time is non-deterministic-half data"
@@ -189,11 +205,6 @@ impl Predictor {
             solve_span.label("result", smt_result_label(result));
             solve_span.finish();
             solving_time += solve_start.elapsed();
-            count_solver_work(
-                obs,
-                &encoder.smt.solver_stats().diff(&before),
-                &encoder.smt.theory_stats().diff(&theory_before),
-            );
 
             match result {
                 SmtResult::Unknown => {
@@ -210,7 +221,7 @@ impl Predictor {
                     return PredictionOutcome::NoPrediction { reason };
                 }
                 SmtResult::Sat => {
-                    let (predicted, boundaries, changed_reads) = extract(&encoder, observed);
+                    let (predicted, boundaries, changed_reads) = extract(encoder, observed);
                     if refines {
                         candidates_examined += 1;
                         obs.count("exact.candidates", 1);
@@ -259,8 +270,8 @@ impl Predictor {
                         changed_reads,
                         isolation: self.config.isolation,
                         strategy: self.config.strategy,
-                        stats,
-                        constraint_gen_time,
+                        stats: *stats,
+                        constraint_gen_time: *constraint_gen_time,
                         solving_time,
                         pco_cycle,
                     }));
@@ -329,15 +340,14 @@ struct AxiomFamilies {
     unserializability: u16,
 }
 
-/// Configures the solver's heartbeat interval and, when telemetry is on,
-/// installs the hook that turns the solver's count-only heartbeats into
-/// schema-v2 obs events. The bridge — not the solver — owns the wall clock,
-/// so the SAT core stays deterministic and obs-free: it reports counts, and
-/// the rate is computed here from the time between samples.
-fn install_heartbeat_bridge(smt: &mut SmtSolver, obs: &Obs, every: u64) {
-    smt.set_heartbeat_every(every);
-    if every == 0 || !obs.is_enabled() {
-        smt.set_heartbeat_hook(None);
+/// When telemetry is on, installs the hook that turns the solver's
+/// count-only heartbeats (one every 10,000 conflicts, the SAT core's
+/// interval) into schema-v2 obs events. The bridge — not the solver — owns
+/// the wall clock, so the SAT core stays deterministic and obs-free: it
+/// reports counts, and the rate is computed here from the time between
+/// samples.
+fn install_heartbeat_bridge(smt: &mut SmtSolver, obs: &Obs) {
+    if !obs.is_enabled() {
         return;
     }
     let obs = obs.clone();
@@ -392,33 +402,6 @@ fn count_encoding_size(obs: &Obs, stats: &EncodingStats) {
     obs.count("encode.variables", stats.variables);
     obs.count("encode.clauses", stats.clauses);
     obs.count("encode.literals", stats.literals);
-}
-
-/// Records the solver work performed by one `check` call (`solver.*`
-/// counters), from a [`SolverStats::diff`] and a [`TheoryStats::diff`]
-/// around the call.
-fn count_solver_work(obs: &Obs, delta: &SolverStats, theory: &TheoryStats) {
-    obs.count("solver.decisions", delta.decisions);
-    obs.count("solver.propagations", delta.propagations);
-    obs.count("solver.conflicts", delta.conflicts);
-    obs.count("solver.theory_conflicts", delta.theory_conflicts);
-    obs.count("solver.theory_asserts", theory.asserts);
-    obs.count("solver.theory_searches", theory.searches);
-    obs.count("solver.theory_nodes_visited", theory.nodes_visited);
-    obs.count("solver.restarts", delta.restarts);
-    obs.count("solver.deleted_clauses", delta.deleted_clauses);
-    obs.count("pp.rounds", delta.pp_rounds);
-    obs.count("pp.fixed", delta.pp_fixed);
-    obs.count("pp.equivalences", delta.pp_equivalences);
-    obs.count("pp.subsumed", delta.pp_subsumed);
-    obs.count("pp.strengthened", delta.pp_strengthened);
-    obs.count("pp.eliminated", delta.pp_eliminated);
-    obs.count("pp.resolvents", delta.pp_resolvents);
-    obs.count("pp.probes", delta.pp_probes);
-    obs.count("pp.restored", delta.pp_restored);
-    obs.count("pp.probe_visits", delta.pp_probe_visits);
-    obs.count("pp.subsume_checks", delta.pp_subsume_checks);
-    obs.count("pp.bve_pairs", delta.pp_bve_pairs);
 }
 
 /// Convenience: `TxnId` list rendering for diagnostics.
@@ -582,7 +565,7 @@ mod tests {
         let keep: Vec<TxnId> = observed.committed_transactions().map(|t| t.id).collect();
         let predictor = predictor(Strategy::ApproxRelaxed, IsolationLevel::Causal);
         let whole = predictor.predict(&observed, &Obs::off());
-        let restricted = predictor.predict(&observed.restrict(&keep, false), &Obs::off());
+        let restricted = predictor.predict(&observed.restrict(&keep), &Obs::off());
         assert_eq!(whole.is_prediction(), restricted.is_prediction());
         if let (Some(a), Some(b)) = (whole.prediction(), restricted.prediction()) {
             assert_eq!(a.changed_reads, b.changed_reads);
@@ -782,26 +765,63 @@ mod tests {
         let observed = deposit_withdraw_deposit();
         let sink = BufferSink::new();
         let registry = Registry::with_sink(Box::new(sink.clone()));
-        let predictor = Predictor::new(PredictorConfig {
-            strategy: Strategy::ApproxRelaxed,
-            isolation: IsolationLevel::Causal,
-            heartbeat_every: 1,
-            preprocess: false,
-            ..PredictorConfig::default()
-        });
-        let outcome = predictor.predict(&observed, &registry.obs());
+        let outcome = predictor(Strategy::ApproxRelaxed, IsolationLevel::Causal)
+            .predict(&observed, &registry.obs());
         assert!(!outcome.is_unknown());
         registry.flush();
         let summary = validate_stream(&sink.contents()).expect("stream validates");
         assert_eq!(summary.schema, 2);
-        // Any conflict the solve needed produced a heartbeat; the validator
-        // has already checked each one's family partition sums to its
-        // conflict counter.
+        // One heartbeat per 10,000 conflicts (the orchestrator's campaign
+        // tests cover a solve long enough to stream some); the validator has
+        // already checked each one's family partition sums to its conflict
+        // counter.
         let conflicts = registry.snapshot().counter("solver.conflicts");
-        assert!(
-            summary.heartbeats as u64 <= conflicts || conflicts == 0,
-            "{} heartbeats from {conflicts} conflicts",
-            summary.heartbeats
-        );
+        assert_eq!(summary.heartbeats as u64, conflicts / 10_000);
+    }
+
+    #[test]
+    fn traced_predict_counts_each_work_counter_once_at_its_total() {
+        use isopredict_obs::{validate_stream, BufferSink, Registry};
+
+        // Exact-Strict under read committed refines before it predicts, so
+        // the analysis makes several solver calls.
+        let observed = deposit_withdraw_deposit();
+        let predictor = predictor(Strategy::ExactStrict, IsolationLevel::ReadCommitted);
+        let sink = BufferSink::new();
+        let registry = Registry::with_sink(Box::new(sink.clone()));
+        assert!(predictor
+            .predict(&observed, &registry.obs())
+            .is_prediction());
+        registry.flush();
+        let snapshot = registry.snapshot();
+        let candidates = snapshot.counter("exact.candidates");
+        assert!(candidates >= 2, "examined {candidates} candidate(s)");
+
+        // The same analysis untraced (the search is deterministic), to read
+        // its solver's final totals.
+        let mut encoding = predictor.encode(&observed, &Obs::off());
+        assert!(predictor
+            .solve(&observed, &mut encoding, &Obs::off())
+            .is_prediction());
+        let totals = encoding.encoder.smt.work_counters();
+
+        let mut names: Vec<&str> = totals.iter().map(|&(name, _)| name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), totals.len(), "work counter names are unique");
+        let mut nonzero = 0;
+        for &(name, total) in &totals {
+            assert_eq!(snapshot.counter(name), total, "{name}");
+            nonzero += u64::from(total > 0);
+        }
+        assert!(snapshot.counter("solver.propagations") > 0);
+        assert!(snapshot.counter("pp.rounds") > 0);
+        // Refinement clauses restore eliminated variables as they are
+        // added, between solver calls, where no per-call count sees them.
+        assert!(snapshot.counter("pp.restored") > 0);
+        // One counter event per non-zero work counter, beside the three
+        // `encode.*` sizes and one `exact.candidates` event per candidate.
+        let summary = validate_stream(&sink.contents()).expect("stream validates");
+        assert_eq!(summary.counter_updates as u64, nonzero + 3 + candidates);
     }
 }

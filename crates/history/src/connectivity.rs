@@ -297,7 +297,7 @@ mod tests {
     #[test]
     fn restriction_leftovers_are_ignored() {
         let history = two_component_history();
-        let restricted = history.restrict(&[TxnId(1), TxnId(2)], false);
+        let restricted = history.restrict(&[TxnId(1), TxnId(2)]);
         let components = KeyComponents::of(&restricted);
         assert_eq!(components.len(), 1);
         assert_eq!(components.components()[0], vec![TxnId(1), TxnId(2)]);

@@ -345,11 +345,11 @@ impl History {
     /// relations computed before and after the restriction remain comparable;
     /// dropped transactions become *empty* transactions detached from their
     /// session (an empty transaction never affects serializability or the
-    /// weak-isolation checks). Reads whose writer was dropped are retargeted
-    /// to `t0` if `retarget_reads` is true; otherwise such read events are
-    /// removed.
+    /// weak-isolation checks). Reads whose writer was dropped are removed;
+    /// a set closed under communication (a union of
+    /// [`crate::connectivity::KeyComponents`] components) has none.
     #[must_use]
-    pub fn restrict(&self, keep: &[TxnId], retarget_reads: bool) -> History {
+    pub fn restrict(&self, keep: &[TxnId]) -> History {
         let keep_set: std::collections::HashSet<TxnId> = keep.iter().copied().collect();
         let mut transactions = Vec::with_capacity(self.transactions.len());
         for txn in &self.transactions {
@@ -361,23 +361,15 @@ impl History {
                 });
                 continue;
             }
-            let mut events = Vec::new();
-            for event in &txn.events {
-                match event.kind {
-                    EventKind::Read { from } if !from.is_initial() && !keep_set.contains(&from) => {
-                        if retarget_reads {
-                            events.push(Event {
-                                key: event.key,
-                                pos: event.pos,
-                                kind: EventKind::Read {
-                                    from: TxnId::INITIAL,
-                                },
-                            });
-                        }
-                    }
-                    _ => events.push(*event),
-                }
-            }
+            let events = txn
+                .events
+                .iter()
+                .filter(|event| match event.kind {
+                    EventKind::Read { from } => from.is_initial() || keep_set.contains(&from),
+                    _ => true,
+                })
+                .copied()
+                .collect();
             transactions.push(Transaction {
                 id: txn.id,
                 session: txn.session,
@@ -495,20 +487,16 @@ mod tests {
     #[test]
     fn restriction_drops_transactions_and_their_readers_edges() {
         let h = two_txn_history();
-        // Keep only t2: its read of x from t1 must be either retargeted or dropped.
-        let restricted = h.restrict(&[TxnId(2)], true);
+        // Keep only t2: its read of x from t1 must be dropped.
+        let restricted = h.restrict(&[TxnId(2)]);
         assert_eq!(restricted.len(), 3); // t0, an emptied t1, and t2
         assert!(restricted.txn(TxnId(1)).events.is_empty());
         assert!(restricted.txn(TxnId(1)).session.is_none());
-        let t2 = restricted.txn(TxnId(2));
-        assert_eq!(t2.events[0].read_from(), Some(TxnId::INITIAL));
         assert_eq!(
             restricted.session_transactions(SessionId(0)),
             &[] as &[TxnId]
         );
-
-        let dropped = h.restrict(&[TxnId(2)], false);
-        let t2 = dropped.txn(TxnId(2));
+        let t2 = restricted.txn(TxnId(2));
         assert_eq!(t2.events.iter().filter(|e| e.is_read()).count(), 0);
     }
 }

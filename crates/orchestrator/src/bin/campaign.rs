@@ -7,8 +7,7 @@
 //!     [--strategies exact-strict,approx-strict,approx-relaxed] \
 //!     [--isolation causal,rc,si] [--size small|large] [--budget N] \
 //!     [--workers N] [--shard auto|never|always] [--corpus DIR] \
-//!     [--no-preprocess] [--heartbeat-every N] \
-//!     [--out PATH] [--det-out PATH] [--metrics PATH | --metrics-stdout]`
+//!     [--no-preprocess] [--out PATH] [--det-out PATH] [--metrics PATH | --metrics-stdout]`
 //!
 //! With `--corpus DIR`, observed cells already in the corpus are loaded
 //! instead of re-recorded (`trace_source: corpus` in the report) and fresh
@@ -18,6 +17,8 @@
 //! telemetry is collected. `--metrics PATH` streams the run's JSONL event
 //! stream (spans, solver counters) to `PATH` and embeds the aggregated
 //! `metrics` section in the report; `--metrics-stdout` streams to stdout.
+//! With telemetry on, the stream also carries a solver heartbeat every
+//! 10,000 conflicts.
 //!
 //! An unknown option or name, a malformed number or an empty matrix prints
 //! the usage line and exits with status 2.
@@ -32,8 +33,7 @@ use isopredict_workloads::{Benchmark, WorkloadSize};
 const USAGE: &str = "usage: campaign [--paper] [--benchmarks LIST] [--seeds N] \
 [--strategies exact-strict,approx-strict,approx-relaxed] [--isolation causal,rc,si] \
 [--size small|large] [--budget N] [--workers N] [--shard auto|never|always] [--corpus DIR] \
-[--no-preprocess] [--heartbeat-every N] [--out PATH] [--det-out PATH] \
-[--metrics PATH | --metrics-stdout]";
+[--no-preprocess] [--out PATH] [--det-out PATH] [--metrics PATH | --metrics-stdout]";
 
 /// The parsed command line (`--metrics`/`--metrics-stdout` are validated
 /// here and read by `metrics_registry`).
@@ -94,10 +94,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
                 };
             }
             "--corpus" => options.corpus = Some(value()?.into()),
-            // Solver heartbeat interval in conflicts (0 disables). Heartbeats
-            // feed the obs stream and `unknown` post-mortems, never the
-            // deterministic report half.
-            "--heartbeat-every" => options.heartbeat_every = number(flag, &value()?)?,
             "--out" => out = Some(value()?),
             "--det-out" => det_out = Some(value()?),
             other => return Err(format!("unknown argument `{other}`")),
@@ -274,11 +270,13 @@ mod tests {
         let error = parse(&["--seeds", "1", "--budgte", "10"]).unwrap_err();
         assert!(error.contains("--budgte"), "{error}");
         assert!(parse(&["stray"]).is_err());
+        // The heartbeat interval is fixed, not an option.
+        assert!(parse(&["--heartbeat-every", "10"]).is_err());
     }
 
     #[test]
     fn malformed_numbers_are_rejected() {
-        for flag in ["--budget", "--seeds", "--workers", "--heartbeat-every"] {
+        for flag in ["--budget", "--seeds", "--workers"] {
             let error = parse(&[flag, "ten"]).unwrap_err();
             assert!(error.contains(flag) && error.contains("ten"), "{error}");
             assert!(parse(&[flag]).is_err(), "{flag} without a value");

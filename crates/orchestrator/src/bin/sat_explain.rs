@@ -147,7 +147,7 @@ fn render(pm: &PostmortemRecord) {
     }
 
     if pm.heartbeats.is_empty() {
-        println!("    heartbeats: none retained (interval longer than the solve, or disabled)");
+        println!("    heartbeats: none retained (the solve was shorter than the 10,000-conflict interval)");
         return;
     }
     println!(

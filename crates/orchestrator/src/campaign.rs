@@ -62,15 +62,11 @@ pub struct CampaignOptions {
     /// persisted for the next run. `None` records every cell in memory, as
     /// before.
     pub corpus: Option<PathBuf>,
-    /// Run the SAT core's static preprocessing pipeline before each solver
-    /// call (see [`PredictorConfig::preprocess`]). On by default; the
-    /// campaign CLI's `--no-preprocess` turns it off for A/B comparisons.
+    /// Run the SAT core's static preprocessing pipeline once per analysis
+    /// unit, before its first search (see [`PredictorConfig::preprocess`]).
+    /// On by default; the campaign CLI's `--no-preprocess` turns it off for
+    /// A/B comparisons.
     pub preprocess: bool,
-    /// Solver heartbeat interval in conflicts (0 disables). Heartbeats are
-    /// schema-v2 obs stream events plus the bounded ring retained for
-    /// `unknown` post-mortems; they never touch the deterministic report
-    /// half (see [`PredictorConfig::heartbeat_every`]).
-    pub heartbeat_every: u64,
 }
 
 impl Default for CampaignOptions {
@@ -81,7 +77,6 @@ impl Default for CampaignOptions {
             shard_policy: ShardPolicy::default(),
             corpus: None,
             preprocess: true,
-            heartbeat_every: 10_000,
         }
     }
 }
@@ -312,7 +307,6 @@ impl Campaign {
                 isolation: task.isolation,
                 conflict_budget: task.conflict_budget,
                 preprocess: options.preprocess,
-                heartbeat_every: options.heartbeat_every,
                 ..PredictorConfig::default()
             });
             let history = observation.plan.history_for(&observation.history, unit);

@@ -14,7 +14,7 @@
 //! history, the dominant shard's solver call costs nearly as much as the
 //! whole-history call while the decomposition still pays its bookkeeping.
 //! [`ShardPolicy::Auto`] therefore falls back to whole-history analysis
-//! above a dominance threshold.
+//! above a dominance threshold ([`AUTO_DOMINANCE`]).
 
 #![warn(clippy::disallowed_methods, clippy::iter_over_hash_type)]
 
@@ -22,26 +22,21 @@ use std::borrow::Cow;
 
 use isopredict_history::{connectivity::KeyComponents, History, TxnId};
 
+/// The largest fraction of the committed transactions one component may
+/// hold for [`ShardPolicy::Auto`] to shard.
+pub const AUTO_DOMINANCE: f64 = 0.75;
+
 /// When to shard a history.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ShardPolicy {
     /// Always analyze whole histories (the paper's original pipeline).
     Never,
-    /// Shard unless a single component holds more than `dominance` of the
-    /// committed transactions (or there is only one component).
-    Auto {
-        /// Dominant-fraction threshold in `(0, 1]` above which sharding is
-        /// skipped.
-        dominance: f64,
-    },
+    /// Shard unless a single component holds more than [`AUTO_DOMINANCE`]
+    /// of the committed transactions (or there is only one component).
+    #[default]
+    Auto,
     /// Shard whenever there is more than one component.
     Always,
-}
-
-impl Default for ShardPolicy {
-    fn default() -> Self {
-        ShardPolicy::Auto { dominance: 0.75 }
-    }
 }
 
 /// One unit of analysis work produced by sharding.
@@ -89,8 +84,8 @@ impl ShardPlan {
         let shard = match policy {
             ShardPolicy::Never => false,
             ShardPolicy::Always => components.len() > 1,
-            ShardPolicy::Auto { dominance } => {
-                components.len() > 1 && components.dominant_fraction() <= dominance
+            ShardPolicy::Auto => {
+                components.len() > 1 && components.dominant_fraction() <= AUTO_DOMINANCE
             }
         };
         let units = if shard {
@@ -126,7 +121,7 @@ impl ShardPlan {
     pub fn history_for<'h>(&self, observed: &'h History, unit: &ShardUnit) -> Cow<'h, History> {
         match unit {
             ShardUnit::Whole => Cow::Borrowed(observed),
-            ShardUnit::Component { txns, .. } => Cow::Owned(observed.restrict(txns, false)),
+            ShardUnit::Component { txns, .. } => Cow::Owned(observed.restrict(txns)),
         }
     }
 
@@ -249,27 +244,32 @@ mod tests {
     fn auto_policy_respects_the_dominance_threshold() {
         // 3 components of 2 transactions each: dominant fraction = 1/3.
         let balanced = disjoint_history(3);
-        let plan = ShardPlan::new(&balanced, ShardPolicy::Auto { dominance: 0.5 });
+        let plan = ShardPlan::new(&balanced, ShardPolicy::Auto);
         assert!(plan.sharded);
 
-        // One big component (4 txns) + one small (2): dominant = 2/3 > 0.5.
-        let mut b = HistoryBuilder::new();
-        let s1 = b.session("big");
-        for _ in 0..4 {
-            let t = b.begin(s1);
-            b.write(t, "big-key");
+        // One big component plus one small one of 2 transactions.
+        let skewed = |big: usize| {
+            let mut b = HistoryBuilder::new();
+            let s1 = b.session("big");
+            for _ in 0..big {
+                let t = b.begin(s1);
+                b.write(t, "big-key");
+                b.commit(t);
+            }
+            let s2 = b.session("small-a");
+            let s3 = b.session("small-b");
+            let t = b.begin(s2);
+            b.write(t, "small-key");
             b.commit(t);
-        }
-        let s2 = b.session("small-a");
-        let s3 = b.session("small-b");
-        let t = b.begin(s2);
-        b.write(t, "small-key");
-        b.commit(t);
-        let u = b.begin(s3);
-        b.read(u, "small-key", t);
-        b.commit(u);
-        let skewed = b.finish();
-        let plan = ShardPlan::new(&skewed, ShardPolicy::Auto { dominance: 0.5 });
+            let u = b.begin(s3);
+            b.read(u, "small-key", t);
+            b.commit(u);
+            b.finish()
+        };
+        // 6 of 8 = 0.75: at the threshold, still sharded.
+        assert!(ShardPlan::new(&skewed(6), ShardPolicy::Auto).sharded);
+        // 7 of 9 ≈ 0.78 > 0.75.
+        let plan = ShardPlan::new(&skewed(7), ShardPolicy::Auto);
         assert!(!plan.sharded, "dominant component must disable sharding");
         assert_eq!(plan.units, vec![ShardUnit::Whole]);
     }
@@ -335,11 +335,7 @@ mod tests {
     #[test]
     fn single_component_histories_never_shard() {
         let history = disjoint_history(1);
-        for policy in [
-            ShardPolicy::Always,
-            ShardPolicy::Auto { dominance: 0.1 },
-            ShardPolicy::Never,
-        ] {
+        for policy in [ShardPolicy::Always, ShardPolicy::Auto, ShardPolicy::Never] {
             let plan = ShardPlan::new(&history, policy);
             assert!(!plan.sharded);
             assert_eq!(plan.units.len(), 1);

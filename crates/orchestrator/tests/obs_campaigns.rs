@@ -1,7 +1,8 @@
 //! The observability layer's contracts on real campaigns: the span tree is a
 //! pure function of the campaign specification (not of worker scheduling),
-//! the JSONL event stream is schema-valid and round-trips through serde, and
-//! enabling telemetry never perturbs the deterministic report half.
+//! the JSONL event stream is schema-valid and round-trips through serde,
+//! enabling telemetry never perturbs the deterministic report half, and a
+//! long solve streams heartbeats at the solver's fixed interval.
 
 use std::sync::OnceLock;
 
@@ -112,4 +113,45 @@ fn deterministic_half_is_byte_identical_with_metrics_on_and_off() {
         metrics.attributed_wall_fraction * 100.0
     );
     assert_eq!(off.deterministic_json(), on.deterministic_json());
+}
+
+#[test]
+fn heartbeats_stream_at_the_fixed_interval_and_survive_in_the_postmortem() {
+    // Voter under causal at two transactions per session proves Unsat in
+    // about 22,000 conflicts. A budget of 15,000, past the solver's fixed
+    // heartbeat interval of 10,000, ends the cell `unknown` after one
+    // heartbeat.
+    let campaign = Campaign::new()
+        .benchmarks([Benchmark::Voter])
+        .seeds([0])
+        .strategies([Strategy::ApproxRelaxed])
+        .isolations([IsolationLevel::Causal])
+        .txns_per_session(2);
+    let sink = BufferSink::new();
+    let registry = Registry::with_sink(Box::new(sink.clone()));
+    let options = CampaignOptions {
+        conflict_budget: Some(15_000),
+        shard_policy: ShardPolicy::Never,
+        ..options(1)
+    };
+    let report = campaign.run_observed(&options, &registry.obs());
+    registry.flush();
+    let summary = validate_stream(&sink.contents()).expect("campaign emits a valid stream");
+    assert!(summary.heartbeats >= 1, "no heartbeat streamed");
+    assert_eq!(
+        report.summary.unknown, 1,
+        "the budget must cut the proof short"
+    );
+    let [postmortem] = &report.postmortems[..] else {
+        panic!(
+            "{} post-mortems for one unknown cell",
+            report.postmortems.len()
+        );
+    };
+    let conflicts: Vec<u64> = postmortem
+        .heartbeats
+        .iter()
+        .map(|hb| hb.conflicts)
+        .collect();
+    assert_eq!(conflicts, [10_000], "the post-mortem keeps the heartbeat");
 }

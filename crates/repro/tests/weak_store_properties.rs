@@ -118,7 +118,7 @@ proptest! {
             .filter(|(i, _)| keep_mask & (1 << (i % 16)) != 0)
             .map(|(_, t)| t.id)
             .collect();
-        let restricted = history.restrict(&keep, false);
+        let restricted = history.restrict(&keep);
         prop_assert!(serializability::check(&restricted).is_serializable());
     }
 }

@@ -35,7 +35,9 @@ pub struct SolverConfig {
     /// [`SolveOutcome::Unknown`].
     pub max_conflicts: Option<u64>,
     /// Emit a progress [`Heartbeat`] every this many conflicts (`0` disables
-    /// heartbeats entirely).
+    /// heartbeats entirely). The default of 10,000 is the interval of every
+    /// solver the pipeline builds; only this crate's tests change it, to
+    /// sample small formulas.
     pub heartbeat_every: u64,
 }
 
@@ -458,25 +460,12 @@ impl Solver {
                         })
                         .collect();
                     // Extend the assignment over eliminated/substituted
-                    // variables before anyone (including the theory's final
-                    // check) reads the model.
+                    // variables before anyone reads the model.
                     self.reconstruct_model(&mut values);
-                    let model = Model::from_values(values);
-                    // Give the theory a last chance to veto the assignment.
-                    match theory.final_check(&model) {
-                        TheoryResult::Consistent => {
-                            self.model = Some(model);
-                            self.cancel_until(0);
-                            theory.backtrack_to(0);
-                            return SolveOutcome::Sat;
-                        }
-                        TheoryResult::Conflict(clause) => {
-                            self.stats.theory_conflicts += 1;
-                            if !self.handle_theory_conflict(clause, theory) {
-                                return SolveOutcome::Unsat;
-                            }
-                        }
-                    }
+                    self.model = Some(Model::from_values(values));
+                    self.cancel_until(0);
+                    theory.backtrack_to(0);
+                    return SolveOutcome::Sat;
                 }
                 SearchResult::Unsat => {
                     self.ok = false;

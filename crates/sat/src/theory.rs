@@ -1,10 +1,8 @@
 //! DPLL(T)-style theory integration.
 
 use crate::literal::Lit;
-use crate::model::Model;
 
-/// Result of notifying a theory about an assignment or asking it for a final
-/// consistency check.
+/// Result of notifying a theory about an assignment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TheoryResult {
     /// The theory state is consistent.
@@ -29,10 +27,9 @@ impl TheoryResult {
 /// The solver notifies the theory of every literal that becomes true (in
 /// trail order) via [`Theory::assert_literal`] and undoes those notifications
 /// with [`Theory::backtrack_to`]. Literals that are not theory atoms should
-/// simply be ignored by the implementation. When the propositional search
-/// finds a full assignment, the solver calls [`Theory::final_check`]; only if
-/// that returns [`TheoryResult::Consistent`] is the assignment reported as a
-/// model.
+/// simply be ignored by the implementation. The theory must check every
+/// assertion eagerly: a full assignment the theory has accepted literal by
+/// literal is reported as a model without a further check.
 pub trait Theory {
     /// Notifies the theory that `lit` became true at decision level `level`.
     fn assert_literal(&mut self, lit: Lit, level: u32) -> TheoryResult;
@@ -40,10 +37,6 @@ pub trait Theory {
     /// Undoes every assertion made at a decision level strictly greater than
     /// `level`.
     fn backtrack_to(&mut self, level: u32);
-
-    /// Performs a final consistency check against a complete propositional
-    /// assignment.
-    fn final_check(&mut self, model: &Model) -> TheoryResult;
 }
 
 /// A theory that accepts everything; used when solving pure SAT problems.
@@ -56,10 +49,6 @@ impl Theory for NullTheory {
     }
 
     fn backtrack_to(&mut self, _level: u32) {}
-
-    fn final_check(&mut self, _model: &Model) -> TheoryResult {
-        TheoryResult::Consistent
-    }
 }
 
 #[cfg(test)]
@@ -73,8 +62,6 @@ mod tests {
             .assert_literal(Lit::positive(crate::Var::from_index(0)), 0)
             .is_consistent());
         t.backtrack_to(0);
-        let model = Model::from_values(vec![true]);
-        assert!(t.final_check(&model).is_consistent());
     }
 
     #[test]

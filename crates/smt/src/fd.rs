@@ -21,13 +21,6 @@ impl FdVar {
     }
 }
 
-/// Bookkeeping for one finite-domain variable.
-#[derive(Debug, Clone)]
-pub(crate) struct FdVarData {
-    pub(crate) domain_size: usize,
-    pub(crate) name: String,
-}
-
 #[cfg(test)]
 mod tests {
     use crate::{SmtResult, SmtSolver};
@@ -35,7 +28,7 @@ mod tests {
     #[test]
     fn fd_var_takes_exactly_one_value() {
         let mut smt = SmtSolver::new();
-        let x = smt.fd_var("x", 3);
+        let x = smt.fd_var(3);
         // Forbid values 0 and 2; the model must pick 1.
         let e0 = smt.fd_eq(x, 0);
         let e2 = smt.fd_eq(x, 2);
@@ -50,7 +43,7 @@ mod tests {
     #[test]
     fn fd_var_cannot_take_two_values() {
         let mut smt = SmtSolver::new();
-        let x = smt.fd_var("x", 4);
+        let x = smt.fd_var(4);
         let e1 = smt.fd_eq(x, 1);
         let e3 = smt.fd_eq(x, 3);
         smt.assert_term(e1);
@@ -61,7 +54,7 @@ mod tests {
     #[test]
     fn forbidding_every_value_is_unsat() {
         let mut smt = SmtSolver::new();
-        let x = smt.fd_var("x", 2);
+        let x = smt.fd_var(2);
         for v in 0..2 {
             let eq = smt.fd_eq(x, v);
             let neg = smt.not(eq);
@@ -73,7 +66,7 @@ mod tests {
     #[test]
     fn singleton_domain_is_forced() {
         let mut smt = SmtSolver::new();
-        let x = smt.fd_var("x", 1);
+        let x = smt.fd_var(1);
         assert_eq!(smt.check(), SmtResult::Sat);
         assert_eq!(smt.model_fd(x), Some(0));
     }
@@ -81,7 +74,7 @@ mod tests {
     #[test]
     fn large_domain_uses_sequential_at_most_one() {
         let mut smt = SmtSolver::new();
-        let x = smt.fd_var("x", 12);
+        let x = smt.fd_var(12);
         let eq7 = smt.fd_eq(x, 7);
         smt.assert_term(eq7);
         assert_eq!(smt.check(), SmtResult::Sat);
@@ -92,7 +85,7 @@ mod tests {
     #[should_panic(expected = "domain")]
     fn out_of_domain_value_panics() {
         let mut smt = SmtSolver::new();
-        let x = smt.fd_var("x", 2);
+        let x = smt.fd_var(2);
         let _ = smt.fd_eq(x, 5);
     }
 }

@@ -38,8 +38,8 @@
 //!   search after it — exactly as without pruning.
 //!
 //! The searches reuse theory-owned buffers, so the hot path allocates only
-//! the conflict clauses it returns. [`SmtSolver::theory_stats`] counts the
-//! work ([`TheoryStats`]).
+//! the conflict clauses it returns. [`TheoryStats`] counts the work, under
+//! the names [`SmtSolver::work_counters`] reports.
 //!
 //! # Polarity restriction on order atoms
 //!

@@ -1,6 +1,6 @@
 //! The strict-order theory: keeps asserted `x < y` atoms acyclic.
 
-use isopredict_sat::{Lit, Model, Theory, TheoryResult, Var};
+use isopredict_sat::{Lit, Theory, TheoryResult, Var};
 
 use crate::stats::TheoryStats;
 
@@ -361,12 +361,6 @@ impl Theory for OrderTheory {
             }
         }
     }
-
-    fn final_check(&mut self, _model: &Model) -> TheoryResult {
-        // Eager per-assertion cycle checking keeps the asserted set acyclic at
-        // all times, so there is nothing left to verify here.
-        TheoryResult::Consistent
-    }
 }
 
 /// Computes a topological order of the nodes given the atoms that are true in
@@ -491,10 +485,6 @@ mod tests {
                     adj.remove(pos);
                 }
             }
-        }
-
-        fn final_check(&mut self, _model: &Model) -> TheoryResult {
-            TheoryResult::Consistent
         }
     }
 

@@ -4,12 +4,12 @@ use std::collections::HashMap;
 
 use isopredict_sat::{
     FamilyAttribution, HeartbeatHook, Lit, PreprocessSummary, SolveOutcome, Solver as SatSolver,
-    SolverPostmortem, SolverStats,
+    SolverPostmortem,
 };
 
-use crate::fd::{FdVar, FdVarData};
+use crate::fd::FdVar;
 use crate::order::{topological_positions, OrderNode, OrderTheory};
-use crate::stats::{EncodingStats, TheoryStats};
+use crate::stats::EncodingStats;
 use crate::term::{Term, TermId, TermPool};
 
 /// Result of an [`SmtSolver::check`] call.
@@ -33,7 +33,8 @@ pub struct SmtSolver {
     pub(crate) sat: SatSolver,
     pub(crate) theory: OrderTheory,
     pub(crate) lit_of: HashMap<TermId, Lit>,
-    fd_vars: Vec<FdVarData>,
+    /// The domain size of each finite-domain variable (index = id).
+    fd_domain_sizes: Vec<usize>,
     bool_var_count: u32,
     true_lit: Option<Lit>,
 }
@@ -48,7 +49,7 @@ impl std::fmt::Debug for SmtSolver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SmtSolver")
             .field("terms", &self.pool.len())
-            .field("fd_vars", &self.fd_vars.len())
+            .field("fd_vars", &self.fd_domain_sizes.len())
             .field("order_nodes", &self.theory.num_nodes())
             .finish()
     }
@@ -63,7 +64,7 @@ impl SmtSolver {
             sat: SatSolver::new(),
             theory: OrderTheory::new(),
             lit_of: HashMap::new(),
-            fd_vars: Vec::new(),
+            fd_domain_sizes: Vec::new(),
             bool_var_count: 0,
             true_lit: None,
         }
@@ -104,11 +105,6 @@ impl SmtSolver {
     #[must_use]
     pub fn attribution(&self) -> &FamilyAttribution {
         self.sat.attribution()
-    }
-
-    /// Emits a progress heartbeat every `every` conflicts (`0` disables).
-    pub fn set_heartbeat_every(&mut self, every: u64) {
-        self.sat.config_mut().heartbeat_every = every;
     }
 
     /// Installs (or clears) the SAT-core heartbeat callback.
@@ -164,18 +160,15 @@ impl SmtSolver {
     /// # Panics
     ///
     /// Panics if `domain_size` is zero.
-    pub fn fd_var(&mut self, name: impl Into<String>, domain_size: usize) -> FdVar {
+    pub fn fd_var(&mut self, domain_size: usize) -> FdVar {
         assert!(
             domain_size > 0,
             "finite-domain variable needs a non-empty domain"
         );
         let var = FdVar {
-            id: self.fd_vars.len() as u32,
+            id: self.fd_domain_sizes.len() as u32,
         };
-        self.fd_vars.push(FdVarData {
-            domain_size,
-            name: name.into(),
-        });
+        self.fd_domain_sizes.push(domain_size);
 
         // Create the indicator atoms eagerly so the exactly-one constraint can
         // be stated over all of them.
@@ -230,12 +223,11 @@ impl SmtSolver {
     ///
     /// Panics if `value` is outside the variable's domain.
     pub fn fd_eq(&mut self, var: FdVar, value: usize) -> TermId {
-        let data = &self.fd_vars[var.id as usize];
+        let domain_size = self.fd_domain_sizes[var.id as usize];
         assert!(
-            value < data.domain_size,
-            "value {value} outside domain of size {} for finite-domain variable `{}`",
-            data.domain_size,
-            data.name
+            value < domain_size,
+            "value {value} outside domain of size {domain_size} for finite-domain variable {}",
+            var.id
         );
         self.pool.intern(Term::FdEq(var, value as u32))
     }
@@ -376,8 +368,8 @@ impl SmtSolver {
     #[must_use]
     pub fn model_fd(&self, var: FdVar) -> Option<usize> {
         let model = self.sat.model()?;
-        let data = self.fd_vars.get(var.id as usize)?;
-        for value in 0..data.domain_size {
+        let domain_size = *self.fd_domain_sizes.get(var.id as usize)?;
+        for value in 0..domain_size {
             let term = Term::FdEq(var, value as u32);
             if let Some(&id) = self.lookup_interned(&term) {
                 if let Some(&lit) = self.lit_of.get(&id) {
@@ -428,20 +420,16 @@ impl SmtSolver {
         }
     }
 
-    /// Cumulative counters of the underlying SAT core. The counters are
-    /// never reset between [`SmtSolver::check`] calls, so per-call metrics
-    /// are `let before = smt.solver_stats(); …; smt.solver_stats().diff(&before)`.
+    /// Every work counter of the SAT core and the order theory under its
+    /// telemetry name: [`crate::SolverStats::work_counters`] followed by
+    /// [`crate::TheoryStats::work_counters`]. The counters are cumulative over the
+    /// solver's lifetime, so the list read after the last
+    /// [`SmtSolver::check`] is the total work of every call.
     #[must_use]
-    pub fn solver_stats(&self) -> SolverStats {
-        self.sat.stats().snapshot()
-    }
-
-    /// Cumulative work counters of the strict-order theory (see
-    /// [`TheoryStats`]); diff two snapshots for per-call figures, as with
-    /// [`SmtSolver::solver_stats`].
-    #[must_use]
-    pub fn theory_stats(&self) -> TheoryStats {
-        self.theory.stats()
+    pub fn work_counters(&self) -> Vec<(&'static str, u64)> {
+        let mut counters = self.sat.stats().work_counters();
+        counters.extend(self.theory.stats().work_counters());
+        counters
     }
 
     fn lookup_interned(&self, term: &Term) -> Option<&TermId> {
@@ -476,7 +464,7 @@ mod tests {
     #[test]
     fn incremental_blocking_enumerates_fd_models() {
         let mut smt = SmtSolver::new();
-        let x = smt.fd_var("x", 3);
+        let x = smt.fd_var(3);
         let mut seen = Vec::new();
         loop {
             match smt.check() {
@@ -497,26 +485,32 @@ mod tests {
     }
 
     #[test]
-    fn solver_stats_accumulate_across_checks_and_diff_isolates_a_call() {
+    fn work_counters_accumulate_across_checks() {
         let mut smt = SmtSolver::new();
-        let x = smt.fd_var("x", 4);
+        let x = smt.fd_var(4);
         assert_eq!(smt.check(), SmtResult::Sat);
-        let before = smt.solver_stats();
+        let before = smt.work_counters();
         let value = smt.model_fd(x).expect("model assigns x");
         let eq = smt.fd_eq(x, value);
         let block = smt.not(eq);
         smt.assert_term(block);
         assert_eq!(smt.check(), SmtResult::Sat);
-        let after = smt.solver_stats();
-        let delta = after.diff(&before);
-        assert!(after.propagations >= before.propagations, "cumulative");
-        assert!(
-            delta.propagations > 0 || delta.decisions > 0 || delta.clauses > 0,
-            "second check did work: {delta}"
+        let after = smt.work_counters();
+        assert_eq!(
+            after.len(),
+            21,
+            "18 SAT-core counters, then 3 theory counters"
         );
-        // No new problem variables were introduced between the snapshots
-        // beyond the blocking clause's terms.
-        assert!(delta.variables <= after.variables);
+        // Cumulative: no counter goes down, and the second check did work.
+        assert!(before.iter().zip(&after).all(|(b, a)| a.1 >= b.1));
+        let work = |counters: &[(&str, u64)]| {
+            counters
+                .iter()
+                .filter(|&&(name, _)| name == "solver.decisions" || name == "solver.propagations")
+                .map(|&(_, value)| value)
+                .sum::<u64>()
+        };
+        assert!(work(&after) > work(&before), "second check did work");
     }
 
     #[test]
@@ -526,7 +520,7 @@ mod tests {
         let mut smt = SmtSolver::new();
         smt.set_conflict_budget(Some(1));
         // Pigeonhole-style FD problem: 4 variables over 3 values, all distinct.
-        let vars: Vec<FdVar> = (0..4).map(|i| smt.fd_var(format!("p{i}"), 3)).collect();
+        let vars: Vec<FdVar> = (0..4).map(|_| smt.fd_var(3)).collect();
         for i in 0..vars.len() {
             for j in (i + 1)..vars.len() {
                 for v in 0..3 {
@@ -569,7 +563,7 @@ mod tests {
         let both = smt.and([ab, ba]);
         smt.assert_term(both);
         assert_eq!(smt.check(), SmtResult::Unsat);
-        let conflicts = smt.solver_stats().conflicts;
+        let conflicts = smt.sat.stats().conflicts;
         let attribution = smt.attribution();
         assert_eq!(attribution.total_conflicts(), conflicts);
         assert!(
@@ -586,19 +580,21 @@ mod tests {
     #[test]
     fn heartbeats_and_postmortem_surface_through_the_facade() {
         use std::sync::{Arc, Mutex};
+        // The heartbeat interval is the SAT core's default of 10,000
+        // conflicts, so the budget lets exactly one heartbeat through.
         let mut smt = SmtSolver::new();
-        smt.set_conflict_budget(Some(10));
-        smt.set_heartbeat_every(1);
+        smt.set_conflict_budget(Some(10_000));
         let beats = Arc::new(Mutex::new(0u64));
         let sink = Arc::clone(&beats);
         smt.set_heartbeat_hook(Some(Box::new(move |_hb| {
             *sink.lock().expect("hook lock") += 1;
         })));
-        // Pigeonhole-style FD problem: 5 variables over 4 values, all distinct.
-        let vars: Vec<FdVar> = (0..5).map(|i| smt.fd_var(format!("p{i}"), 4)).collect();
+        // Pigeonhole: 9 variables over 8 values, all distinct — far beyond
+        // the budget for a CDCL solver.
+        let vars: Vec<FdVar> = (0..9).map(|_| smt.fd_var(8)).collect();
         for i in 0..vars.len() {
             for j in (i + 1)..vars.len() {
-                for v in 0..4 {
+                for v in 0..8 {
                     let ei = smt.fd_eq(vars[i], v);
                     let ej = smt.fd_eq(vars[j], v);
                     let both = smt.and([ei, ej]);
@@ -608,11 +604,12 @@ mod tests {
             }
         }
         assert_eq!(smt.check(), SmtResult::Unknown);
-        assert!(*beats.lock().expect("test lock") > 0, "hook never fired");
+        assert_eq!(*beats.lock().expect("test lock"), 1);
         let postmortem = smt.solver_postmortem();
-        assert_eq!(postmortem.budget, Some(10));
-        assert!(postmortem.conflicts_in_call >= 10);
-        assert!(!postmortem.heartbeats.is_empty());
+        assert_eq!(postmortem.budget, Some(10_000));
+        assert_eq!(postmortem.conflicts_in_call, 10_000);
+        assert_eq!(postmortem.heartbeats.len(), 1);
+        assert_eq!(postmortem.heartbeats[0].conflicts, 10_000);
         assert_eq!(
             postmortem.attribution.total_conflicts(),
             postmortem.stats.conflicts
@@ -623,7 +620,7 @@ mod tests {
     fn debug_output_mentions_sizes() {
         let mut smt = SmtSolver::new();
         let _ = smt.bool_var();
-        let _ = smt.fd_var("x", 2);
+        let _ = smt.fd_var(2);
         let _ = smt.order_node();
         let debug = format!("{smt:?}");
         assert!(debug.contains("fd_vars"));

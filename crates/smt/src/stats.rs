@@ -27,9 +27,8 @@ impl std::fmt::Display for EncodingStats {
 }
 
 /// Work counters of the strict-order theory, cumulative over a solver's
-/// lifetime like [`crate::SolverStats`]; per-call figures are
-/// `smt.theory_stats().diff(&before)`. They are a deterministic function of
-/// the search, so they repeat exactly run to run.
+/// lifetime like [`crate::SolverStats`]. They are a deterministic function
+/// of the search, so they repeat exactly run to run.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct TheoryStats {
     /// Positive order atoms asserted to the theory.
@@ -42,14 +41,15 @@ pub struct TheoryStats {
 }
 
 impl TheoryStats {
-    /// The change since an `earlier` snapshot of the same solver (saturating).
+    /// The counters under their telemetry names (`solver.theory_*`), the
+    /// theory's half of [`crate::SmtSolver::work_counters`].
     #[must_use]
-    pub fn diff(&self, earlier: &TheoryStats) -> TheoryStats {
-        TheoryStats {
-            asserts: self.asserts.saturating_sub(earlier.asserts),
-            searches: self.searches.saturating_sub(earlier.searches),
-            nodes_visited: self.nodes_visited.saturating_sub(earlier.nodes_visited),
-        }
+    pub fn work_counters(&self) -> Vec<(&'static str, u64)> {
+        vec![
+            ("solver.theory_asserts", self.asserts),
+            ("solver.theory_searches", self.searches),
+            ("solver.theory_nodes_visited", self.nodes_visited),
+        ]
     }
 }
 
