@@ -8,8 +8,8 @@
 
 use std::process::ExitCode;
 
-use isopredict_bench::cli::number;
 use isopredict_bench::tables::CharacteristicsRow;
+use isopredict_obs::cli::number;
 use isopredict_orchestrator::record_observed;
 use isopredict_workloads::{Benchmark, WorkloadCharacteristics, WorkloadConfig, WorkloadSize};
 

@@ -15,14 +15,15 @@
 //! and solver spans and counters) as JSONL events to `PATH`.
 //!
 //! An unknown option or name, a malformed number, `--seeds 0` or a corpus
-//! that cannot be opened prints the usage line and exits with status 2.
+//! that cannot be opened prints the usage line and exits with status 2; a
+//! metrics stream that cannot be created exits 2 before any work runs.
 
 use std::process::ExitCode;
 
 use isopredict::{IsolationLevel, Obs, Strategy};
 use isopredict_bench::cli::TableArgs;
 use isopredict_bench::tables::PredictionRow;
-use isopredict_obs::metrics_registry;
+use isopredict_obs::cli::MetricsTarget;
 use isopredict_orchestrator::Campaign;
 use isopredict_workloads::Benchmark;
 
@@ -36,8 +37,14 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    let registry = match args.metrics.as_ref().map(MetricsTarget::open).transpose() {
+        Ok(registry) => registry,
+        Err(error) => {
+            eprintln!("table4_5: {error}");
+            return ExitCode::from(2);
+        }
+    };
     let options = args.campaign_options();
-    let registry = metrics_registry(&std::env::args().collect::<Vec<_>>());
     let obs = registry.as_ref().map_or_else(Obs::off, |r| r.obs());
     let TableArgs {
         isolation,

@@ -16,7 +16,8 @@
 //! campaign's spans and solver counters) as JSONL events to `PATH`.
 //!
 //! An unknown option or name, a malformed number, `--seeds 0` or a corpus
-//! that cannot be opened prints the usage line and exits with status 2.
+//! that cannot be opened prints the usage line and exits with status 2; a
+//! metrics stream that cannot be created exits 2 before any work runs.
 
 use std::process::ExitCode;
 
@@ -24,7 +25,7 @@ use isopredict::{IsolationLevel, Obs, Strategy};
 use isopredict_bench::cli::TableArgs;
 use isopredict_bench::tables::ComparisonRow;
 use isopredict_history::serializability;
-use isopredict_obs::metrics_registry;
+use isopredict_obs::cli::MetricsTarget;
 use isopredict_orchestrator::{Campaign, WorkerPool};
 use isopredict_workloads::{run, Benchmark, Schedule, WorkloadConfig};
 
@@ -47,6 +48,13 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    let registry = match args.metrics.as_ref().map(MetricsTarget::open).transpose() {
+        Ok(registry) => registry,
+        Err(error) => {
+            eprintln!("table6_7: {error}");
+            return ExitCode::from(2);
+        }
+    };
     let options = args.campaign_options();
     let TableArgs {
         isolation,
@@ -56,7 +64,6 @@ fn main() -> ExitCode {
         ..
     } = args;
     let pool = WorkerPool::new(options.workers);
-    let registry = metrics_registry(&std::env::args().collect::<Vec<_>>());
     let obs = registry.as_ref().map_or_else(Obs::off, |r| r.obs());
 
     // The paper uses the best-performing strategy per isolation level:

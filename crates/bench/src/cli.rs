@@ -1,5 +1,5 @@
 //! Command-line arguments shared by the table binaries (`table4_5`,
-//! `table6_7`), and the [`number`] parser that `table3` also uses.
+//! `table6_7`).
 //!
 //! Every option must be known, every value well-formed and every name one
 //! the matrix knows, so a typo cannot silently fall back to a default; the
@@ -7,12 +7,11 @@
 
 use isopredict::IsolationLevel;
 use isopredict_corpus::Corpus;
+use isopredict_obs::cli::{number, MetricsTarget};
 use isopredict_orchestrator::{CampaignOptions, ShardPolicy};
 use isopredict_workloads::WorkloadSize;
 
-/// The parsed command line of a table binary (`--metrics PATH` and
-/// `--metrics-stdout` are validated here and read by
-/// `isopredict_obs::metrics_registry`).
+/// The parsed command line of a table binary.
 #[derive(Debug)]
 pub struct TableArgs {
     /// `--isolation causal|rc|si` (default causal).
@@ -29,6 +28,8 @@ pub struct TableArgs {
     pub workers: Option<usize>,
     /// `--corpus DIR`, opened (and created if missing) while parsing.
     pub corpus: Option<Corpus>,
+    /// `--metrics PATH` or `--metrics-stdout`: where to stream telemetry.
+    pub metrics: Option<MetricsTarget>,
 }
 
 impl TableArgs {
@@ -53,6 +54,7 @@ impl TableArgs {
             budget: 2_000_000,
             workers: None,
             corpus: None,
+            metrics: None,
         };
         let mut iter = args.iter();
         while let Some(flag) = iter.next() {
@@ -63,10 +65,8 @@ impl TableArgs {
                     .ok_or_else(|| format!("{flag} requires a value"))
             };
             match flag.as_str() {
-                "--metrics-stdout" => {}
-                "--metrics" => {
-                    value()?;
-                }
+                "--metrics" => parsed.metrics = Some(MetricsTarget::File(value()?)),
+                "--metrics-stdout" => parsed.metrics = Some(MetricsTarget::Stdout),
                 "--isolation" => {
                     parsed.isolation = value()?.parse().map_err(|e| format!("{e}"))?;
                 }
@@ -113,18 +113,6 @@ impl TableArgs {
     }
 }
 
-/// Parses the value of `flag` as a number, with an error naming both.
-///
-/// # Errors
-///
-/// A message naming `flag` and `value` when `value` is not a number of
-/// type `T`.
-pub fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
-    value
-        .parse()
-        .map_err(|_| format!("{flag} expects a non-negative integer, got `{value}`"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,6 +147,7 @@ mod tests {
         assert_eq!((args.seeds, args.runs_per_seed), (3, 4));
         assert_eq!((args.budget, args.workers), (5000, Some(2)));
         assert!(args.corpus.is_none());
+        assert_eq!(args.metrics, Some(MetricsTarget::Stdout));
 
         let defaults = parse(&[], false).expect("no arguments");
         assert_eq!(defaults.isolation, IsolationLevel::Causal);
@@ -185,6 +174,20 @@ mod tests {
         assert!(parse(&["--budgte", "10"], false)
             .unwrap_err()
             .contains("--budgte"));
+    }
+
+    #[test]
+    fn no_flags_means_no_registry() {
+        assert_eq!(parse(&[], false).expect("no arguments").metrics, None);
+        let args = parse(&["--metrics", "m.jsonl"], false).expect("a metrics path");
+        assert_eq!(args.metrics, Some(MetricsTarget::File("m.jsonl".into())));
+    }
+
+    #[test]
+    fn metrics_flag_without_a_path_is_rejected() {
+        let error = parse(&["--metrics", "--seeds", "1"], false).unwrap_err();
+        assert!(error.contains("--metrics requires a value"), "{error}");
+        assert!(parse(&["--metrics"], false).is_err());
     }
 
     #[test]

@@ -36,11 +36,11 @@ pub enum PredictionOutcome {
     /// The solver budget was exhausted (the analogue of the paper's
     /// "T/O"/"Unk" column).
     Unknown {
-        /// The solver's flight-recorder post-mortem — final per-family
-        /// conflict attribution plus the retained heartbeat ring — when one
-        /// was captured. Non-deterministic-half data only: it explains where
-        /// the budget went, never what the verdict would have been.
-        postmortem: Option<Box<SolverPostmortem>>,
+        /// The solver's flight-recorder post-mortem: final per-family
+        /// conflict attribution plus the retained heartbeat ring.
+        /// Non-deterministic-half data only: it explains where the budget
+        /// went, never what the verdict would have been.
+        postmortem: Box<SolverPostmortem>,
     },
 }
 
@@ -76,7 +76,7 @@ impl PredictionOutcome {
     #[must_use]
     pub fn postmortem(&self) -> Option<&SolverPostmortem> {
         match self {
-            PredictionOutcome::Unknown { postmortem } => postmortem.as_deref(),
+            PredictionOutcome::Unknown { postmortem } => Some(postmortem),
             _ => None,
         }
     }
@@ -187,7 +187,7 @@ impl Predictor {
         loop {
             if refines && candidates_examined >= self.config.max_exact_candidates {
                 return PredictionOutcome::Unknown {
-                    postmortem: Some(Box::new(encoder.smt.solver_postmortem())),
+                    postmortem: Box::new(encoder.smt.solver_postmortem()),
                 };
             }
             #[expect(
@@ -209,7 +209,7 @@ impl Predictor {
             match result {
                 SmtResult::Unknown => {
                     return PredictionOutcome::Unknown {
-                        postmortem: Some(Box::new(encoder.smt.solver_postmortem())),
+                        postmortem: Box::new(encoder.smt.solver_postmortem()),
                     }
                 }
                 SmtResult::Unsat => {

@@ -18,7 +18,8 @@
 //!
 //! An unknown command or option, a missing or surplus argument, an unknown
 //! benchmark or size, a malformed number or `--seeds 0` prints the usage
-//! line and exits with status 2. Failures of the command itself (a corpus
+//! line and exits with status 2; a metrics stream that cannot be created
+//! exits 2 before any work runs. Failures of the command itself (a corpus
 //! that cannot be opened, a rejected import, a failed verification) exit
 //! with status 1.
 
@@ -30,7 +31,8 @@ use std::time::Instant;
 use isopredict_corpus::hash::sha256;
 use isopredict_corpus::{Corpus, CorpusError};
 use isopredict_history::TraceMeta;
-use isopredict_obs::{metrics_registry, Obs};
+use isopredict_obs::cli::{number, MetricsTarget};
+use isopredict_obs::Obs;
 use isopredict_store::StoreMode;
 use isopredict_workloads::{run, Benchmark, Schedule, WorkloadConfig, WorkloadSize};
 
@@ -64,12 +66,12 @@ enum Command {
     Gc,
 }
 
-/// The parsed command line (`--metrics`/`--metrics-stdout` are validated
-/// here and read by `metrics_registry`).
+/// The parsed command line.
 #[derive(Debug)]
 struct Args {
     command: Command,
     corpus: String,
+    metrics: Option<MetricsTarget>,
 }
 
 /// Parses the arguments after the program name. Every option must be known
@@ -98,7 +100,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
         "gc" => Command::Gc,
         other => return Err(format!("unknown command `{other}`")),
     };
-    let mut corpus = None;
+    let (mut corpus, mut metrics) = (None, None);
     let mut positional: Option<String> = None;
     while let Some(flag) = iter.next() {
         let mut value = || {
@@ -107,10 +109,8 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
                 .ok_or_else(|| format!("{flag} requires a value"))
         };
         match (flag.as_str(), &mut command) {
-            ("--metrics-stdout", _) => {}
-            ("--metrics", _) => {
-                value()?;
-            }
+            ("--metrics", _) => metrics = Some(MetricsTarget::File(value()?)),
+            ("--metrics-stdout", _) => metrics = Some(MetricsTarget::Stdout),
             ("--corpus", _) => corpus = Some(value()?),
             ("--benchmarks", Command::Record { benchmarks, .. }) => {
                 *benchmarks = value()?
@@ -144,25 +144,33 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
         }
         _ => {}
     }
-    Ok(Args { command, corpus })
-}
-
-fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
-    value
-        .parse()
-        .map_err(|_| format!("{flag} expects a non-negative integer, got `{value}`"))
+    Ok(Args {
+        command,
+        corpus,
+        metrics,
+    })
 }
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().collect();
-    let Args { command, corpus } = match parse_args(argv.iter().skip(1).cloned()) {
+    let Args {
+        command,
+        corpus,
+        metrics,
+    } = match parse_args(argv.iter().skip(1).cloned()) {
         Ok(args) => args,
         Err(error) => {
             eprintln!("trace: {error}\n{USAGE}");
             return ExitCode::from(2);
         }
     };
-    let registry = metrics_registry(&argv);
+    let registry = match metrics.as_ref().map(MetricsTarget::open).transpose() {
+        Ok(registry) => registry,
+        Err(error) => {
+            eprintln!("trace: {error}");
+            return ExitCode::from(2);
+        }
+    };
     let obs = registry.as_ref().map_or_else(Obs::off, |r| r.obs());
     let mut corpus = match Corpus::open(&corpus) {
         Ok(opened) => opened,
@@ -401,6 +409,7 @@ mod tests {
         ])
         .expect("valid arguments");
         assert_eq!(args.corpus, "c");
+        assert_eq!(args.metrics, Some(MetricsTarget::Stdout));
         assert_eq!(
             args.command,
             Command::Record {
@@ -410,6 +419,7 @@ mod tests {
             }
         );
         let defaults = parse(&["record", "--corpus", "c"]).expect("valid arguments");
+        assert_eq!(defaults.metrics, None);
         assert_eq!(
             defaults.command,
             Command::Record {
@@ -427,6 +437,12 @@ mod tests {
                 seed: Some(7),
                 isolation: None,
             }
+        );
+        assert_eq!(
+            parse(&["ls", "--corpus", "c", "--metrics", "m.jsonl"])
+                .unwrap()
+                .metrics,
+            Some(MetricsTarget::File("m.jsonl".to_string()))
         );
         let show = parse(&["show", "abc123", "--corpus", "c"]).unwrap();
         assert_eq!(

@@ -1,67 +1,65 @@
-//! CLI plumbing shared by the workspace binaries: `--metrics <path>` /
-//! `--metrics-stdout` parsing into a sink-equipped [`Registry`].
+//! CLI plumbing shared by the workspace binaries: the `--metrics <path>` /
+//! `--metrics-stdout` target and the [`number`] option-value parser.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
 
 use crate::registry::Registry;
 
-/// Builds a [`Registry`] from the standard metrics flags, if any are present:
+/// Where a binary streams its JSONL telemetry events, as parsed from
+/// `--metrics <path>` or `--metrics-stdout`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MetricsTarget {
+    /// `--metrics <path>`: a file, created (or truncated) when opened.
+    File(String),
+    /// `--metrics-stdout`: standard output.
+    Stdout,
+}
+
+impl MetricsTarget {
+    /// Opens the sink and returns a [`Registry`] streaming into it. A file
+    /// sink is buffered; call [`Registry::flush`] before exiting.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the path when the file cannot be created.
+    pub fn open(&self) -> Result<Registry, String> {
+        let sink: Box<dyn Write + Send> = match self {
+            MetricsTarget::File(path) => {
+                Box::new(BufWriter::new(File::create(path).map_err(|error| {
+                    format!("cannot create metrics stream {path}: {error}")
+                })?))
+            }
+            MetricsTarget::Stdout => Box::new(std::io::stdout()),
+        };
+        Ok(Registry::with_sink(sink))
+    }
+}
+
+/// Parses the value of `flag` as a number, with an error naming both.
 ///
-/// * `--metrics <path>` — stream JSONL events to `path` (buffered; call
-///   [`Registry::flush`] before exiting);
-/// * `--metrics-stdout` — stream JSONL events to standard output.
+/// # Errors
 ///
-/// Returns `None` when neither flag is given (telemetry off). `args` is the
-/// full argument vector, `std::env::args().collect()` style.
-///
-/// # Panics
-///
-/// Panics when `--metrics` is given without a path or the file cannot be
-/// created — metrics were explicitly requested, so failing silently would be
-/// worse than failing loudly.
-#[must_use]
-pub fn metrics_registry(args: &[String]) -> Option<Registry> {
-    let to_stdout = args.iter().any(|a| a == "--metrics-stdout");
-    let to_file = args.iter().position(|a| a == "--metrics").map(|i| {
-        args.get(i + 1)
-            .filter(|v| !v.starts_with("--"))
-            .unwrap_or_else(|| panic!("--metrics requires a file path"))
-            .clone()
-    });
-    let sink: Box<dyn Write + Send> = match (to_file, to_stdout) {
-        (Some(path), _) => Box::new(BufWriter::new(
-            File::create(&path)
-                .unwrap_or_else(|error| panic!("cannot create metrics stream {path}: {error}")),
-        )),
-        (None, true) => Box::new(std::io::stdout()),
-        (None, false) => return None,
-    };
-    Some(Registry::with_sink(sink))
+/// A message naming `flag` and `value` when `value` is not a number of
+/// type `T`.
+pub fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag} expects a non-negative integer, got `{value}`"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn argv(parts: &[&str]) -> Vec<String> {
-        parts.iter().map(ToString::to_string).collect()
-    }
-
-    #[test]
-    fn no_flags_means_no_registry() {
-        assert!(metrics_registry(&argv(&["bin", "--out", "x.json"])).is_none());
-    }
-
     #[test]
     fn metrics_flag_streams_to_the_file() {
         let dir = std::env::temp_dir().join("isopredict-obs-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("events.jsonl");
-        let path_str = path.to_str().unwrap().to_string();
+        let target = MetricsTarget::File(path.to_str().unwrap().to_string());
         {
-            let registry =
-                metrics_registry(&argv(&["bin", "--metrics", &path_str])).expect("registry");
+            let registry = target.open().expect("registry");
             registry.obs().span("phase").finish();
             registry.flush();
         }
@@ -72,8 +70,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "--metrics requires a file path")]
-    fn metrics_flag_without_a_path_panics() {
-        let _ = metrics_registry(&argv(&["bin", "--metrics", "--out"]));
+    fn uncreatable_metrics_file_is_an_error() {
+        // A file cannot be created below a regular file.
+        let file = std::env::temp_dir().join(format!("obs-cli-{}", std::process::id()));
+        std::fs::write(&file, b"not a directory").unwrap();
+        let path = file.join("events.jsonl");
+        let error = MetricsTarget::File(path.to_str().unwrap().to_string())
+            .open()
+            .err()
+            .expect("cannot create a file below a file");
+        std::fs::remove_file(&file).unwrap();
+        assert!(error.contains("cannot create metrics stream"), "{error}");
     }
 }

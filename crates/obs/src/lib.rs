@@ -61,13 +61,12 @@
     reason = "obs owns the non-deterministic report half: span timings and telemetry"
 )]
 
-mod cli;
+pub mod cli;
 mod event;
 mod metrics;
 mod registry;
 mod span;
 
-pub use cli::metrics_registry;
 pub use event::{validate_stream, Label, ObsEvent, StreamError, StreamSummary, SCHEMA_VERSION};
 pub use metrics::{CounterValue, MetricsSection, SpanAggregate};
 pub use registry::{BufferSink, HeartbeatSample, Obs, Registry, Span};

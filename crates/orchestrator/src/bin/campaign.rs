@@ -20,13 +20,15 @@
 //! With telemetry on, the stream also carries a solver heartbeat every
 //! 10,000 conflicts.
 //!
-//! An unknown option or name, a malformed number or an empty matrix prints
-//! the usage line and exits with status 2.
+//! An unknown option or name, a malformed number, an empty matrix or a
+//! corpus that cannot be opened prints the usage line and exits with status
+//! 2; a metrics stream that cannot be created exits 2 before any work runs.
 
 use std::process::ExitCode;
 
 use isopredict::{IsolationLevel, Obs, Strategy};
-use isopredict_obs::metrics_registry;
+use isopredict_corpus::Corpus;
+use isopredict_obs::cli::{number, MetricsTarget};
 use isopredict_orchestrator::{Campaign, CampaignOptions, ShardPolicy};
 use isopredict_workloads::{Benchmark, WorkloadSize};
 
@@ -35,20 +37,22 @@ const USAGE: &str = "usage: campaign [--paper] [--benchmarks LIST] [--seeds N] \
 [--size small|large] [--budget N] [--workers N] [--shard auto|never|always] [--corpus DIR] \
 [--no-preprocess] [--out PATH] [--det-out PATH] [--metrics PATH | --metrics-stdout]";
 
-/// The parsed command line (`--metrics`/`--metrics-stdout` are validated
-/// here and read by `metrics_registry`).
+/// The parsed command line.
 #[derive(Debug)]
 struct Args {
     campaign: Campaign,
     options: CampaignOptions,
     out: Option<String>,
     det_out: Option<String>,
+    metrics: Option<MetricsTarget>,
 }
 
 /// Parses the arguments after the program name. Every option must be
 /// known, every value well-formed and every name one the matrix knows, so
 /// a typo cannot silently fall back to a default. `--paper` selects the
 /// paper's matrix before any other option narrows it, wherever it appears.
+/// `--corpus` is opened (and created if missing) here, so a bad directory
+/// is a usage error rather than a failure mid-run.
 fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let args: Vec<String> = args.into_iter().collect();
     let mut campaign = if args.iter().any(|a| a == "--paper") {
@@ -57,7 +61,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
         Campaign::new()
     };
     let mut options = CampaignOptions::default();
-    let (mut out, mut det_out) = (None, None);
+    let (mut out, mut det_out, mut metrics) = (None, None, None);
     let mut iter = args.iter();
     while let Some(flag) = iter.next() {
         let mut value = || {
@@ -67,11 +71,10 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
                 .ok_or_else(|| format!("{flag} requires a value"))
         };
         match flag.as_str() {
-            "--paper" | "--metrics-stdout" => {}
+            "--paper" => {}
             "--no-preprocess" => options.preprocess = false,
-            "--metrics" => {
-                value()?;
-            }
+            "--metrics" => metrics = Some(MetricsTarget::File(value()?)),
+            "--metrics-stdout" => metrics = Some(MetricsTarget::Stdout),
             "--benchmarks" => {
                 campaign = campaign.benchmarks(list(&value()?, parse_name::<Benchmark>)?)
             }
@@ -93,7 +96,12 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
                     other => return Err(format!("unknown shard policy `{other}`")),
                 };
             }
-            "--corpus" => options.corpus = Some(value()?.into()),
+            "--corpus" => {
+                let dir = value()?;
+                Corpus::open(&dir)
+                    .map_err(|error| format!("cannot open corpus at {dir}: {error}"))?;
+                options.corpus = Some(dir.into());
+            }
             "--out" => out = Some(value()?),
             "--det-out" => det_out = Some(value()?),
             other => return Err(format!("unknown argument `{other}`")),
@@ -107,13 +115,8 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
         options,
         out,
         det_out,
+        metrics,
     })
-}
-
-fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
-    value
-        .parse()
-        .map_err(|_| format!("{flag} expects a non-negative integer, got `{value}`"))
 }
 
 fn list<T>(value: &str, parse: fn(&str) -> Result<T, String>) -> Result<Vec<T>, String> {
@@ -132,10 +135,18 @@ fn main() -> ExitCode {
         options,
         out,
         det_out,
+        metrics,
     } = match parse_args(std::env::args().skip(1)) {
         Ok(args) => args,
         Err(error) => {
             eprintln!("campaign: {error}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    let registry = match metrics.as_ref().map(MetricsTarget::open).transpose() {
+        Ok(registry) => registry,
+        Err(error) => {
+            eprintln!("campaign: {error}");
             return ExitCode::from(2);
         }
     };
@@ -145,7 +156,6 @@ fn main() -> ExitCode {
         campaign.experiments(),
         options.workers
     );
-    let registry = metrics_registry(&std::env::args().collect::<Vec<_>>());
     let obs = registry.as_ref().map_or_else(Obs::off, |r| r.obs());
     let report = campaign.run_observed(&options, &obs);
     if let Some(registry) = &registry {
@@ -263,6 +273,22 @@ mod tests {
         assert!(!args.options.preprocess);
         assert_eq!(args.det_out.as_deref(), Some("det.json"));
         assert_eq!(args.out, None);
+        assert_eq!(args.metrics, Some(MetricsTarget::Stdout));
+        let args = parse(&["--metrics", "m.jsonl"]).expect("valid arguments");
+        assert_eq!(args.metrics, Some(MetricsTarget::File("m.jsonl".into())));
+        assert_eq!(parse(&[]).expect("no arguments").metrics, None);
+        assert!(parse(&["--metrics", "--seeds", "1"]).is_err());
+    }
+
+    #[test]
+    fn unopenable_corpus_is_rejected() {
+        // A directory cannot be created below a regular file.
+        let file = std::env::temp_dir().join(format!("campaign-args-{}", std::process::id()));
+        std::fs::write(&file, b"not a directory").expect("write temp file");
+        let dir = file.join("corpus");
+        let error = parse(&["--corpus", dir.to_str().expect("utf-8 path")]).unwrap_err();
+        std::fs::remove_file(&file).expect("remove temp file");
+        assert!(error.contains("cannot open corpus"), "{error}");
     }
 
     #[test]

@@ -17,10 +17,12 @@
 //! within budget is the good case). An option (the tool takes none) or no
 //! file prints the usage line and exits with status 2.
 
+use std::io::Write;
 use std::process::ExitCode;
 
-use isopredict_orchestrator::{HeartbeatRecord, PostmortemRecord};
-use serde::{Content, Deserialize};
+use isopredict_orchestrator::PostmortemRecord;
+use isopredict_smt::busiest_family;
+use serde::Deserialize;
 
 const USAGE: &str = "usage: sat_explain REPORT.json...";
 
@@ -57,8 +59,9 @@ fn main() -> ExitCode {
                     "{path}: {} budget-exhausted analysis unit(s)",
                     postmortems.len()
                 );
+                let mut stdout = std::io::stdout().lock();
                 for postmortem in &postmortems {
-                    render(postmortem);
+                    render(postmortem, &mut stdout).expect("write to stdout");
                 }
             }
             Err(error) => {
@@ -74,92 +77,102 @@ fn main() -> ExitCode {
     }
 }
 
+/// The part of a campaign report this tool reads. Deterministic report
+/// halves have no `postmortems` field; they read as "none recorded".
+#[derive(Deserialize)]
+struct Report {
+    postmortems: Option<Vec<PostmortemRecord>>,
+}
+
 /// Reads a campaign report and extracts its `postmortems` array.
 fn load_postmortems(path: &str) -> Result<Vec<PostmortemRecord>, String> {
     let text = std::fs::read_to_string(path).map_err(|error| error.to_string())?;
-    let raw: Content = serde_json::from_str(&text).map_err(|error| error.to_string())?;
-    if raw.as_map().is_none() {
-        return Err("not a campaign report (expected a JSON object)".to_string());
-    }
-    let postmortems = raw.get("postmortems");
-    if matches!(postmortems, Content::Null) {
-        // Deterministic report halves and pre-flight-recorder reports have
-        // no `postmortems` field at all; treat both as "none recorded".
-        return Ok(Vec::new());
-    }
-    Vec::<PostmortemRecord>::from_content(postmortems)
-        .map_err(|error| format!("malformed `postmortems` section: {error:?}"))
+    let report: Report = serde_json::from_str(&text)
+        .map_err(|error| format!("not a campaign report with post-mortems: {error}"))?;
+    Ok(report.postmortems.unwrap_or_default())
 }
 
-/// Pretty-prints one post-mortem: header, dominant family, the per-family
+/// Writes one post-mortem: header, dominant family, the per-family
 /// attribution table, and the retained heartbeat trajectory.
-fn render(pm: &PostmortemRecord) {
-    println!();
-    println!(
+fn render(pm: &PostmortemRecord, out: &mut impl Write) -> std::io::Result<()> {
+    let solver = &pm.solver;
+    let (stats, attribution) = (&solver.stats, &solver.attribution);
+    writeln!(out)?;
+    writeln!(
+        out,
         "  {} seed {} · {} @ {} · unit {}",
         pm.benchmark, pm.seed, pm.strategy, pm.isolation, pm.unit
-    );
-    match pm.budget {
-        Some(budget) => println!(
+    )?;
+    match solver.budget {
+        Some(budget) => writeln!(
+            out,
             "    budget {budget} conflicts exhausted: {} spent in the final call, {} over the solver lifetime ({} restarts, {} propagations)",
-            pm.conflicts_in_call, pm.conflicts, pm.restarts, pm.propagations
-        ),
-        None => println!(
+            solver.conflicts_in_call, stats.conflicts, stats.restarts, stats.propagations
+        )?,
+        None => writeln!(
+            out,
             "    no budget recorded; {} conflicts in the final call, {} over the solver lifetime",
-            pm.conflicts_in_call, pm.conflicts
-        ),
+            solver.conflicts_in_call, stats.conflicts
+        )?,
     }
-    match (&pm.dominant_family, pm.conflicts) {
-        (Some(name), total) if total > 0 => {
-            let involved = pm
-                .families
-                .iter()
-                .position(|f| f == name)
-                .and_then(|i| pm.conflicts_involving.get(i).copied())
-                .unwrap_or(0);
-            println!(
-                "    dominant axiom family: {name} — involved in {:.1}% of conflicts",
-                involved as f64 * 100.0 / total as f64
-            );
-        }
-        _ => println!("    dominant axiom family: none (no conflicts attributed)"),
+    match (attribution.dominant_family(), stats.conflicts) {
+        (Some((name, involved)), total) if total > 0 => writeln!(
+            out,
+            "    dominant axiom family: {name} — involved in {:.1}% of conflicts",
+            involved as f64 * 100.0 / total as f64
+        )?,
+        _ => writeln!(
+            out,
+            "    dominant axiom family: none (no conflicts attributed)"
+        )?,
     }
 
-    println!(
+    writeln!(
+        out,
         "    {:<24} {:>8} {:>10} {:>10} {:>12} {:>10}",
         "family", "clauses", "conflicts", "involved", "propagations", "learnt-anc"
-    );
-    for (i, family) in pm.families.iter().enumerate() {
+    )?;
+    for (i, family) in attribution.families.iter().enumerate() {
         let row = [
-            pm.clauses_by_family.get(i).copied().unwrap_or(0),
-            pm.conflicts_by_family.get(i).copied().unwrap_or(0),
-            pm.conflicts_involving.get(i).copied().unwrap_or(0),
-            pm.propagations_by_family.get(i).copied().unwrap_or(0),
-            pm.learned_ancestry.get(i).copied().unwrap_or(0),
-        ];
+            &attribution.clauses_by_family,
+            &attribution.conflicts_by_family,
+            &attribution.conflicts_involving,
+            &attribution.propagations_by_family,
+            &attribution.learned_ancestry,
+        ]
+        .map(|counts| counts.get(i).copied().unwrap_or(0));
         if row.iter().all(|&n| n == 0) {
             continue; // reserved families a run never exercised
         }
-        println!(
+        writeln!(
+            out,
             "    {:<24} {:>8} {:>10} {:>10} {:>12} {:>10}",
             family, row[0], row[1], row[2], row[3], row[4]
-        );
+        )?;
     }
 
-    if pm.heartbeats.is_empty() {
-        println!("    heartbeats: none retained (the solve was shorter than the 10,000-conflict interval)");
-        return;
+    if solver.heartbeats.is_empty() {
+        return writeln!(
+            out,
+            "    heartbeats: none retained (the solve was shorter than the 10,000-conflict interval)"
+        );
     }
-    println!(
+    writeln!(
+        out,
         "    heartbeat trajectory ({} retained, oldest first):",
-        pm.heartbeats.len()
-    );
-    println!(
+        solver.heartbeats.len()
+    )?;
+    writeln!(
+        out,
         "      {:>6} {:>10} {:>10} {:>8} {:>8} {:>12} {:<24}",
         "seq", "conflicts", "decisions", "trail", "learnt", "root-fixed", "busiest family"
-    );
-    for hb in &pm.heartbeats {
-        println!(
+    )?;
+    for hb in &solver.heartbeats {
+        let busiest = busiest_family(&hb.conflicts_by_family)
+            .and_then(|i| attribution.families.get(i))
+            .map_or("-", String::as_str);
+        writeln!(
+            out,
             "      {:>6} {:>10} {:>10} {:>8} {:>8} {:>7}/{:<4} {:<24}",
             hb.seq,
             hb.conflicts,
@@ -168,29 +181,16 @@ fn render(pm: &PostmortemRecord) {
             hb.learnt_clauses,
             hb.vars_assigned_at_root,
             hb.total_vars,
-            busiest_family(pm, hb),
-        );
+            busiest,
+        )?;
     }
-}
-
-/// The family charged with the most conflicts at one heartbeat, preferring
-/// encoder-tagged axiom families over the reserved bookkeeping ones.
-fn busiest_family<'a>(pm: &'a PostmortemRecord, hb: &HeartbeatRecord) -> &'a str {
-    let pick = |skip_reserved: bool| {
-        hb.conflicts_by_family
-            .iter()
-            .enumerate()
-            .take(pm.families.len())
-            .filter(|&(i, &n)| n > 0 && (!skip_reserved || i >= 3))
-            .max_by_key(|&(i, &n)| (n, std::cmp::Reverse(i)))
-            .map(|(i, _)| pm.families[i].as_str())
-    };
-    pick(true).or_else(|| pick(false)).unwrap_or("-")
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use isopredict_smt::{FamilyAttribution, Heartbeat, SolverPostmortem, SolverStats};
 
     fn parse(args: &[&str]) -> Result<Vec<String>, String> {
         parse_args(args.iter().map(ToString::to_string))
@@ -202,6 +202,82 @@ mod tests {
             parse(&["a.json", "b.json"]).expect("files"),
             ["a.json", "b.json"]
         );
+    }
+
+    fn heartbeat(seq: u64, conflicts_by_family: Vec<u64>) -> Heartbeat {
+        Heartbeat {
+            seq,
+            conflicts: conflicts_by_family.iter().sum(),
+            decisions: 300 * seq,
+            propagations: 9_000 * seq,
+            restarts: seq,
+            trail_depth: 40 + seq,
+            learnt_clauses: 25 * seq,
+            vars_assigned_at_root: 7,
+            total_vars: 120,
+            conflicts_by_family,
+        }
+    }
+
+    #[test]
+    fn render_pins_the_full_text() {
+        let families = [
+            "default",
+            "learned",
+            "theory",
+            "feasibility",
+            "unserializability",
+        ];
+        let record = PostmortemRecord {
+            benchmark: "Voter".into(),
+            seed: 3,
+            strategy: "Approx-Relaxed".into(),
+            isolation: "causal".into(),
+            unit: "shard-1".into(),
+            solver: SolverPostmortem {
+                budget: Some(200),
+                conflicts_in_call: 150,
+                stats: SolverStats {
+                    conflicts: 200,
+                    restarts: 4,
+                    propagations: 36_000,
+                    ..SolverStats::default()
+                },
+                attribution: FamilyAttribution {
+                    families: families.map(String::from).to_vec(),
+                    clauses_by_family: vec![5, 0, 0, 60, 90],
+                    conflicts_by_family: vec![0, 20, 120, 10, 50],
+                    conflicts_involving: vec![0, 150, 130, 30, 70],
+                    propagations_by_family: vec![0, 800, 0, 2_000, 9_000],
+                    learned_ancestry: vec![0, 150, 130, 30, 70],
+                },
+                heartbeats: vec![
+                    // Only reserved families have conflicts yet.
+                    heartbeat(1, vec![0, 10, 40, 0, 0]),
+                    heartbeat(2, vec![0, 15, 80, 5, 30]),
+                ],
+            },
+        };
+        let mut out = Vec::new();
+        render(&record, &mut out).expect("render into memory");
+        // Rows are padded to the column width, trailing spaces included.
+        let expected = concat!(
+            "\n",
+            "  Voter seed 3 · Approx-Relaxed @ causal · unit shard-1\n",
+            "    budget 200 conflicts exhausted: 150 spent in the final call, 200 over the solver lifetime (4 restarts, 36000 propagations)\n",
+            "    dominant axiom family: unserializability — involved in 35.0% of conflicts\n",
+            "    family                    clauses  conflicts   involved propagations learnt-anc\n",
+            "    default                         5          0          0            0          0\n",
+            "    learned                         0         20        150          800        150\n",
+            "    theory                          0        120        130            0        130\n",
+            "    feasibility                    60         10         30         2000         30\n",
+            "    unserializability              90         50         70         9000         70\n",
+            "    heartbeat trajectory (2 retained, oldest first):\n",
+            "         seq  conflicts  decisions    trail   learnt   root-fixed busiest family          \n",
+            "           1         50        300       41       25       7/120  theory                  \n",
+            "           2        130        600       42       50       7/120  unserializability       \n",
+        );
+        assert_eq!(String::from_utf8(out).expect("utf-8"), expected);
     }
 
     #[test]

@@ -384,16 +384,16 @@ impl Campaign {
             .iter()
             .zip(&unit_results)
             .filter_map(|(task, (outcome, _))| {
-                outcome.postmortem().map(|pm| {
+                outcome.postmortem().map(|solver| {
                     let observation = &observations[task.observation];
-                    PostmortemRecord::new(
-                        observation.benchmark.name(),
-                        observation.seed,
-                        task.strategy.name(),
-                        &task.isolation.to_string(),
-                        &observation.plan.units[task.unit].label(),
-                        pm,
-                    )
+                    PostmortemRecord {
+                        benchmark: observation.benchmark.name().to_string(),
+                        seed: observation.seed,
+                        strategy: task.strategy.name().to_string(),
+                        isolation: task.isolation.to_string(),
+                        unit: observation.plan.units[task.unit].label(),
+                        solver: solver.clone(),
+                    }
                 })
             })
             .collect();

@@ -66,8 +66,8 @@ pub mod worker;
 pub use campaign::{record_observed, Campaign, CampaignOptions};
 pub use merge::{embed, merge_outcomes, MergedOutcome};
 pub use report::{
-    CampaignReport, CampaignSummary, CampaignTiming, DivergenceRecord, HeartbeatRecord,
-    PostmortemRecord, ProvenanceRecord, TaskRecord, TaskRun,
+    CampaignReport, CampaignSummary, CampaignTiming, DivergenceRecord, PostmortemRecord,
+    ProvenanceRecord, TaskRecord, TaskRun,
 };
 pub use shard::{ShardPlan, ShardPolicy, ShardUnit};
 pub use worker::WorkerPool;

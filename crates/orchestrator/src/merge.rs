@@ -114,9 +114,8 @@ pub fn merge_outcomes<O: std::borrow::Borrow<PredictionOutcome>>(
     let mut constraint_gen_time = Duration::ZERO;
     let mut solving_time = Duration::ZERO;
     let mut winner: Option<(usize, &Prediction)> = None;
-    let mut saw_unknown = false;
     let mut saw_exhausted = false;
-    let mut unknown_postmortem: Option<Box<SolverPostmortem>> = None;
+    let mut unknown_postmortem: Option<&SolverPostmortem> = None;
 
     for (index, outcome) in outcomes.iter().enumerate() {
         match outcome.borrow() {
@@ -129,13 +128,10 @@ pub fn merge_outcomes<O: std::borrow::Borrow<PredictionOutcome>>(
                 }
             }
             PredictionOutcome::Unknown { postmortem } => {
-                saw_unknown = true;
                 // The merged verdict keeps the first exhausted unit's
                 // post-mortem: good enough to explain *a* budget failure;
                 // per-unit detail lives in the campaign report.
-                if unknown_postmortem.is_none() {
-                    unknown_postmortem.clone_from(postmortem);
-                }
+                unknown_postmortem.get_or_insert(postmortem);
             }
             PredictionOutcome::NoPrediction {
                 reason: NoPredictionReason::ExhaustedCandidates,
@@ -144,8 +140,8 @@ pub fn merge_outcomes<O: std::borrow::Borrow<PredictionOutcome>>(
         }
     }
 
-    let (outcome, predicting_unit) = match winner {
-        Some((index, prediction)) => {
+    let (outcome, predicting_unit) = match (winner, unknown_postmortem) {
+        (Some((index, prediction)), _) => {
             let lifted = if sharded {
                 Box::new(embed(observed, prediction))
             } else {
@@ -153,13 +149,13 @@ pub fn merge_outcomes<O: std::borrow::Borrow<PredictionOutcome>>(
             };
             (PredictionOutcome::Prediction(lifted), Some(index))
         }
-        None if saw_unknown => (
+        (None, Some(postmortem)) => (
             PredictionOutcome::Unknown {
-                postmortem: unknown_postmortem,
+                postmortem: Box::new(postmortem.clone()),
             },
             None,
         ),
-        None => (
+        (None, None) => (
             PredictionOutcome::NoPrediction {
                 reason: if saw_exhausted {
                     NoPredictionReason::ExhaustedCandidates
@@ -247,22 +243,21 @@ mod tests {
         let unsat = || PredictionOutcome::NoPrediction {
             reason: NoPredictionReason::Unsatisfiable,
         };
+        let unknown = || PredictionOutcome::Unknown {
+            postmortem: Box::default(),
+        };
 
         let merged = merge_outcomes(&observed, &[unsat(), unsat()], true);
         assert!(merged.outcome.is_no_prediction());
         assert!(merged.predicting_unit.is_none());
 
-        let merged = merge_outcomes(
-            &observed,
-            &[unsat(), PredictionOutcome::Unknown { postmortem: None }],
-            true,
-        );
+        let merged = merge_outcomes(&observed, &[unsat(), unknown()], true);
         assert!(merged.outcome.is_unknown());
 
         let merged = merge_outcomes(
             &observed,
             &[
-                PredictionOutcome::Unknown { postmortem: None },
+                unknown(),
                 predictor().predict(&plan.history_for(&observed, &plan.units[1]), &Obs::off()),
             ],
             true,

@@ -161,8 +161,9 @@ pub struct ProvenanceRecord {
 }
 
 /// Flight-recorder post-mortem of one budget-exhausted analysis unit: the
-/// solver's final per-family conflict attribution plus its retained
-/// heartbeat ring, stamped with the unit's matrix coordinates.
+/// solver's own [`SolverPostmortem`] (final per-family conflict attribution
+/// plus its retained heartbeat ring), stamped with the unit's matrix
+/// coordinates.
 ///
 /// Lives in the report's **non-deterministic half** (beside `timing` and
 /// `provenance`): everything in it is diagnostic — it explains where the
@@ -179,113 +180,8 @@ pub struct PostmortemRecord {
     pub isolation: String,
     /// Analysis-unit label ("whole" / "shard-N").
     pub unit: String,
-    /// The conflict budget this unit exhausted, if one was set.
-    pub budget: Option<u64>,
-    /// Conflicts spent inside the final solve call.
-    pub conflicts_in_call: u64,
-    /// Cumulative conflicts over the unit's whole solver lifetime.
-    pub conflicts: u64,
-    /// Cumulative restarts.
-    pub restarts: u64,
-    /// Cumulative unit propagations.
-    pub propagations: u64,
-    /// Interned clause-family names; all per-family vectors are parallel.
-    pub families: Vec<String>,
-    /// Strict partition: conflicts charged to each family's falsified
-    /// clause; sums exactly to `conflicts`.
-    pub conflicts_by_family: Vec<u64>,
-    /// Conflicts whose resolution involved each family (not a partition —
-    /// one conflict can involve several families).
-    pub conflicts_involving: Vec<u64>,
-    /// Unit propagations forced by each family's clauses.
-    pub propagations_by_family: Vec<u64>,
-    /// Learnt clauses whose derivation involved each family.
-    pub learned_ancestry: Vec<u64>,
-    /// Problem clauses emitted under each family tag.
-    pub clauses_by_family: Vec<u64>,
-    /// The axiom family most involved in conflicts, if any conflicts
-    /// happened.
-    pub dominant_family: Option<String>,
-    /// The most recent heartbeats of the final solve call, oldest first.
-    pub heartbeats: Vec<HeartbeatRecord>,
-}
-
-/// One retained solver heartbeat, as serialized into a [`PostmortemRecord`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HeartbeatRecord {
-    /// 1-based ordinal within the solve call.
-    pub seq: u64,
-    /// Cumulative conflicts at sample time.
-    pub conflicts: u64,
-    /// Cumulative decisions at sample time.
-    pub decisions: u64,
-    /// Cumulative propagations at sample time.
-    pub propagations: u64,
-    /// Cumulative restarts at sample time.
-    pub restarts: u64,
-    /// Assigned literals on the trail at sample time.
-    pub trail_depth: u64,
-    /// Live learnt clauses at sample time.
-    pub learnt_clauses: u64,
-    /// Variables fixed at decision level 0 at sample time.
-    pub vars_assigned_at_root: u64,
-    /// Total problem variables.
-    pub total_vars: u64,
-    /// Per-family conflict partition at sample time.
-    pub conflicts_by_family: Vec<u64>,
-}
-
-impl PostmortemRecord {
-    /// Builds a record from a solver post-mortem plus the unit's matrix
-    /// coordinates.
-    #[must_use]
-    pub fn new(
-        benchmark: &str,
-        seed: u64,
-        strategy: &str,
-        isolation: &str,
-        unit: &str,
-        postmortem: &SolverPostmortem,
-    ) -> PostmortemRecord {
-        PostmortemRecord {
-            benchmark: benchmark.to_string(),
-            seed,
-            strategy: strategy.to_string(),
-            isolation: isolation.to_string(),
-            unit: unit.to_string(),
-            budget: postmortem.budget,
-            conflicts_in_call: postmortem.conflicts_in_call,
-            conflicts: postmortem.stats.conflicts,
-            restarts: postmortem.stats.restarts,
-            propagations: postmortem.stats.propagations,
-            families: postmortem.attribution.families.clone(),
-            conflicts_by_family: postmortem.attribution.conflicts_by_family.clone(),
-            conflicts_involving: postmortem.attribution.conflicts_involving.clone(),
-            propagations_by_family: postmortem.attribution.propagations_by_family.clone(),
-            learned_ancestry: postmortem.attribution.learned_ancestry.clone(),
-            clauses_by_family: postmortem.attribution.clauses_by_family.clone(),
-            dominant_family: postmortem
-                .attribution
-                .dominant_family()
-                .map(|(name, _)| name.to_string()),
-            heartbeats: postmortem
-                .heartbeats
-                .iter()
-                .map(|hb| HeartbeatRecord {
-                    seq: hb.seq,
-                    conflicts: hb.conflicts,
-                    decisions: hb.decisions,
-                    propagations: hb.propagations,
-                    restarts: hb.restarts,
-                    trail_depth: hb.trail_depth,
-                    learnt_clauses: hb.learnt_clauses,
-                    vars_assigned_at_root: hb.vars_assigned_at_root,
-                    total_vars: hb.total_vars,
-                    conflicts_by_family: hb.conflicts_by_family.clone(),
-                })
-                .collect(),
-        }
-    }
+    /// The solver's post-mortem of the unit's final solve call.
+    pub solver: SolverPostmortem,
 }
 
 /// Outcome counts over the whole campaign.
@@ -424,6 +320,7 @@ struct DeterministicReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use isopredict_smt::{FamilyAttribution, Heartbeat, SolverStats};
 
     fn record(outcome: &str, sharded: bool, units: usize) -> TaskRecord {
         TaskRecord {
@@ -574,49 +471,51 @@ mod tests {
             postmortems: vec![],
         };
         let first = report.deterministic_json();
-        // Heartbeat counts depend on the heartbeat interval, so attaching a
-        // post-mortem may not perturb the deterministic half.
-        report.postmortems.push(PostmortemRecord {
-            benchmark: "Smallbank".into(),
-            seed: 0,
-            strategy: "Approx-Relaxed".into(),
-            isolation: "causal".into(),
-            unit: "whole".into(),
-            budget: Some(100),
-            conflicts_in_call: 100,
-            conflicts: 100,
-            restarts: 2,
-            propagations: 5000,
+        // Attaching a post-mortem may not perturb the deterministic half.
+        let attribution = FamilyAttribution {
             families: vec!["default".into(), "feasibility".into()],
             conflicts_by_family: vec![40, 60],
             conflicts_involving: vec![40, 80],
             propagations_by_family: vec![0, 900],
             learned_ancestry: vec![0, 80],
             clauses_by_family: vec![3, 17],
-            dominant_family: Some("feasibility".into()),
-            heartbeats: vec![HeartbeatRecord {
-                seq: 1,
-                conflicts: 100,
-                decisions: 400,
-                propagations: 5000,
-                restarts: 2,
-                trail_depth: 12,
-                learnt_clauses: 30,
-                vars_assigned_at_root: 4,
-                total_vars: 40,
-                conflicts_by_family: vec![40, 60],
-            }],
+        };
+        report.postmortems.push(PostmortemRecord {
+            benchmark: "Smallbank".into(),
+            seed: 0,
+            strategy: "Approx-Relaxed".into(),
+            isolation: "causal".into(),
+            unit: "whole".into(),
+            solver: SolverPostmortem {
+                budget: Some(100),
+                conflicts_in_call: 100,
+                stats: SolverStats {
+                    conflicts: 100,
+                    restarts: 2,
+                    propagations: 5000,
+                    ..SolverStats::default()
+                },
+                attribution,
+                heartbeats: vec![Heartbeat {
+                    seq: 1,
+                    conflicts: 100,
+                    decisions: 400,
+                    propagations: 5000,
+                    restarts: 2,
+                    trail_depth: 12,
+                    learnt_clauses: 30,
+                    vars_assigned_at_root: 4,
+                    total_vars: 40,
+                    conflicts_by_family: vec![40, 60],
+                }],
+            },
         });
         assert_eq!(first, report.deterministic_json());
-        assert!(!first.contains("dominant_family"));
-        assert!(report
-            .to_json()
-            .contains("\"dominant_family\": \"feasibility\""));
+        assert!(!first.contains("conflicts_in_call"));
         assert!(report.to_json().contains("\"conflicts_in_call\": 100"));
         // And the record round-trips through the JSON a `sat_explain` reads.
         let json = serde_json::to_string(&report.postmortems).expect("serialize");
-        let raw: serde::Content = serde_json::from_str(&json).expect("reparse");
-        let back = Vec::<PostmortemRecord>::from_content(&raw).expect("deserialize");
+        let back: Vec<PostmortemRecord> = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(back, report.postmortems);
     }
 }

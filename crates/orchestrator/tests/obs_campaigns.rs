@@ -149,6 +149,7 @@ fn heartbeats_stream_at_the_fixed_interval_and_survive_in_the_postmortem() {
         );
     };
     let conflicts: Vec<u64> = postmortem
+        .solver
         .heartbeats
         .iter()
         .map(|hb| hb.conflicts)

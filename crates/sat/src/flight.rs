@@ -25,6 +25,8 @@
 //! (no wall-clock readings): rates are computed by whoever installed the
 //! heartbeat hook, keeping the solver itself deterministic.
 
+use serde::{Deserialize, Serialize};
+
 use crate::stats::SolverStats;
 
 /// Family id of clauses added without an explicit tag.
@@ -50,7 +52,7 @@ pub(crate) fn family_bit(family: u16) -> u32 {
 /// All fields are counters or instantaneous depths — deliberately no
 /// wall-clock timestamps, so the solver stays deterministic and rates are
 /// the hook installer's business.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Heartbeat {
     /// 1-based index of this heartbeat within the current solve call;
     /// strictly increasing.
@@ -78,7 +80,7 @@ pub struct Heartbeat {
 
 /// Per-family attribution of solver work, indexed by family id. All five
 /// vectors are parallel to [`FamilyAttribution::families`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FamilyAttribution {
     /// Interned family names; index is the family id.
     pub families: Vec<String>,
@@ -128,31 +130,36 @@ impl FamilyAttribution {
         self.conflicts_by_family.iter().sum()
     }
 
-    /// The axiom family most involved in conflicts: the non-reserved family
-    /// with the highest [`FamilyAttribution::conflicts_involving`] count
-    /// (reserved families are skipped because once learning starts almost
-    /// every conflict trivially involves `learned`). Falls back to the
-    /// busiest reserved family when no axiom family was ever tagged.
+    /// The axiom family most involved in conflicts, by
+    /// [`busiest_family`] over [`FamilyAttribution::conflicts_involving`].
     /// Returns `(name, conflicts_involving)`.
     #[must_use]
     pub fn dominant_family(&self) -> Option<(&str, u64)> {
-        let pick = |ids: &mut dyn Iterator<Item = usize>| -> Option<(usize, u64)> {
-            ids.map(|i| (i, self.conflicts_involving[i]))
-                .filter(|&(_, n)| n > 0)
-                .max_by_key(|&(i, n)| (n, std::cmp::Reverse(i)))
-        };
-        let reserved = usize::from(FAMILY_THEORY) + 1;
-        pick(&mut (reserved..self.families.len()))
-            .or_else(|| pick(&mut (0..reserved.min(self.families.len()))))
-            .map(|(i, n)| (self.families[i].as_str(), n))
+        busiest_family(&self.conflicts_involving)
+            .map(|i| (self.families[i].as_str(), self.conflicts_involving[i]))
     }
+}
+
+/// The busiest family of a per-family count slice (index = family id): the
+/// non-reserved family with the highest non-zero count, falling back to the
+/// busiest reserved family when no axiom family has one; the lowest id wins
+/// ties. Reserved families are only a fallback because once learning starts
+/// almost every conflict trivially involves `learned`.
+#[must_use]
+pub fn busiest_family(counts: &[u64]) -> Option<usize> {
+    let reserved = (usize::from(FAMILY_THEORY) + 1).min(counts.len());
+    let busiest = |ids: std::ops::Range<usize>| {
+        ids.filter(|&i| counts[i] > 0)
+            .max_by_key(|&i| (counts[i], std::cmp::Reverse(i)))
+    };
+    busiest(reserved..counts.len()).or_else(|| busiest(0..reserved))
 }
 
 /// Why a solve ended without an answer: the final attribution plus the most
 /// recent heartbeats, captured when [`crate::Solver::solve`] returns
 /// [`crate::SolveOutcome::Unknown`] (retrievable any time via
 /// [`crate::Solver::postmortem`]).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SolverPostmortem {
     /// The conflict budget in force, if any.
     pub budget: Option<u64>,
@@ -208,5 +215,14 @@ mod tests {
         assert_eq!(name, "theory");
         assert_eq!(count, 9);
         assert_eq!(FamilyAttribution::with_reserved().dominant_family(), None);
+    }
+
+    #[test]
+    fn busiest_family_prefers_axiom_families_and_breaks_ties_low() {
+        assert_eq!(busiest_family(&[0, 900, 50, 3, 7, 7]), Some(4));
+        assert_eq!(busiest_family(&[0, 900, 50, 0, 0]), Some(1));
+        assert_eq!(busiest_family(&[4, 0, 4]), Some(0));
+        assert_eq!(busiest_family(&[0, 0, 0, 0]), None);
+        assert_eq!(busiest_family(&[]), None);
     }
 }

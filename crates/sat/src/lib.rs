@@ -60,7 +60,8 @@ pub use assignment::LBool;
 pub use clause::{Clause, ClauseRef};
 pub use dimacs::{parse_dimacs, solver_from_dimacs, write_dimacs, DimacsError};
 pub use flight::{
-    FamilyAttribution, Heartbeat, SolverPostmortem, FAMILY_DEFAULT, FAMILY_LEARNED, FAMILY_THEORY,
+    busiest_family, FamilyAttribution, Heartbeat, SolverPostmortem, FAMILY_DEFAULT, FAMILY_LEARNED,
+    FAMILY_THEORY,
 };
 pub use literal::{Lit, Var};
 pub use model::Model;

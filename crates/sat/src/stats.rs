@@ -1,7 +1,9 @@
 //! Solver statistics.
 
+use serde::{Deserialize, Serialize};
+
 /// Counters describing the work performed by a [`crate::Solver`].
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SolverStats {
     /// Number of decisions made.
     pub decisions: u64,

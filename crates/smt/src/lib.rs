@@ -79,7 +79,7 @@ mod tseitin;
 
 pub use fd::FdVar;
 pub use isopredict_sat::{
-    FamilyAttribution, Heartbeat, HeartbeatHook, SolverPostmortem, SolverStats,
+    busiest_family, FamilyAttribution, Heartbeat, HeartbeatHook, SolverPostmortem, SolverStats,
 };
 pub use order::OrderNode;
 pub use solver::{SmtResult, SmtSolver};
