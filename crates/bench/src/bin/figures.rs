@@ -15,8 +15,7 @@ use isopredict::{
     report, IsolationLevel, Obs, PredictionOutcome, Predictor, PredictorConfig, Strategy,
 };
 use isopredict_history::dot::{render, Overlay};
-use isopredict_orchestrator::record_observed;
-use isopredict_workloads::{Benchmark, WorkloadConfig};
+use isopredict_workloads::{record_observed, Benchmark, WorkloadConfig};
 
 const USAGE: &str = "usage: figures [--out DIR]";
 

@@ -10,8 +10,9 @@ use std::process::ExitCode;
 
 use isopredict_bench::tables::CharacteristicsRow;
 use isopredict_obs::cli::number;
-use isopredict_orchestrator::record_observed;
-use isopredict_workloads::{Benchmark, WorkloadCharacteristics, WorkloadConfig, WorkloadSize};
+use isopredict_workloads::{
+    record_observed, Benchmark, WorkloadCharacteristics, WorkloadConfig, WorkloadSize,
+};
 
 const USAGE: &str = "usage: table3 [--seeds N]";
 

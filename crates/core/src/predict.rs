@@ -123,11 +123,15 @@ impl Predictor {
     /// reporting telemetry through `obs`: an `encode` span with
     /// `feasibility`/`isolation`/`unserializability` children, one `solve`
     /// span per solver call (labelled with its result; the first one holds
-    /// the `preprocess` span), `encode.*` size counters, `solver.*` / `pp.*`
+    /// the `preprocess` span, and the exact strategy's span also covers its
+    /// candidate's check), `encode.*` size counters, `solver.*` / `pp.*`
     /// work counters (the solver's totals, counted once when the analysis
     /// ends) and, every 10,000 conflicts, a solver heartbeat. Pass
     /// [`Obs::off`] for no telemetry; the cost is then a handful of branch
-    /// checks.
+    /// checks and the spans' clock reads. The spans are also the
+    /// prediction's timers: `constraint_gen_time` is the `encode` span and
+    /// `solving_time` the sum of the `solve` spans, whether or not telemetry
+    /// is on.
     ///
     /// To analyse one communication component, restrict the history first
     /// (`isopredict-orchestrator`'s `ShardPlan::history_for`): the
@@ -190,11 +194,6 @@ impl Predictor {
                     postmortem: Box::new(encoder.smt.solver_postmortem()),
                 };
             }
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "solving_time is non-deterministic-half data"
-            )]
-            let solve_start = Instant::now();
             let solve_span = obs.span("solve");
             if self.config.preprocess && candidates_examined == 0 {
                 let pp_span = solve_span.obs().span("preprocess");
@@ -203,10 +202,7 @@ impl Predictor {
             }
             let result = encoder.smt.check();
             solve_span.label("result", smt_result_label(result));
-            solve_span.finish();
-            solving_time += solve_start.elapsed();
-
-            match result {
+            let (predicted, boundaries, changed_reads) = match result {
                 SmtResult::Unknown => {
                     return PredictionOutcome::Unknown {
                         postmortem: Box::new(encoder.smt.solver_postmortem()),
@@ -220,74 +216,69 @@ impl Predictor {
                     };
                     return PredictionOutcome::NoPrediction { reason };
                 }
+                // The approximate strategies' model is the prediction.
+                SmtResult::Sat if !refines => {
+                    solving_time += solve_span.finish();
+                    extract(encoder, observed)
+                }
+                // The exact strategy's candidate check belongs to its solve
+                // call, so its span covers the verdict too.
                 SmtResult::Sat => {
                     let (predicted, boundaries, changed_reads) = extract(encoder, observed);
-                    if refines {
-                        candidates_examined += 1;
-                        obs.count("exact.candidates", 1);
-                        #[expect(
-                            clippy::disallowed_methods,
-                            reason = "solving_time is non-deterministic-half data"
-                        )]
-                        let check_start = Instant::now();
-                        let verdict = self
-                            .config
-                            .isolation
-                            .is_conformant(&predicted)
-                            .then(|| serializability::check(&predicted));
-                        solving_time += check_start.elapsed();
-                        let refinement = match verdict {
-                            Some(SerializabilityResult::Unserializable) => None,
-                            Some(SerializabilityResult::Serializable { witness }) => {
-                                Some(encoder.witness_refinement(&witness))
-                            }
-                            // The snapshot encoding is weaker than SI (see
-                            // `encode_snapshot`), so the exact checker has
-                            // the last word on conformance; a candidate it
-                            // rejects is ruled out alone.
-                            None => Some(encoder.candidate_exclusion()),
-                        };
-                        if let Some(refinement) = refinement {
-                            // The refinement clauses are the exact
-                            // strategy's unserializability condition.
-                            encoder.smt.set_clause_family(families.unserializability);
-                            encoder.smt.assert_term(refinement);
-                            continue;
+                    candidates_examined += 1;
+                    obs.count("exact.candidates", 1);
+                    let verdict = self
+                        .config
+                        .isolation
+                        .is_conformant(&predicted)
+                        .then(|| serializability::check(&predicted));
+                    solving_time += solve_span.finish();
+                    let refinement = match verdict {
+                        Some(SerializabilityResult::Unserializable) => None,
+                        Some(SerializabilityResult::Serializable { witness }) => {
+                            Some(encoder.witness_refinement(&witness))
                         }
+                        // The snapshot encoding is weaker than SI (see
+                        // `encode_snapshot`), so the exact checker has the
+                        // last word on conformance; a candidate it rejects is
+                        // ruled out alone.
+                        None => Some(encoder.candidate_exclusion()),
+                    };
+                    if let Some(refinement) = refinement {
+                        // The refinement clauses are the exact strategy's
+                        // unserializability condition.
+                        encoder.smt.set_clause_family(families.unserializability);
+                        encoder.smt.assert_term(refinement);
+                        continue;
                     }
-                    let pco_cycle = approx.as_ref().and_then(|symbols| {
-                        let mut pco = isopredict_history::graph::DiGraph::new(observed.len());
-                        for (&(t1, t2), &term) in &symbols.pco {
-                            if encoder.smt.model_bool(term) == Some(true) {
-                                pco.add_edge(t1, t2);
-                            }
-                        }
-                        pco.find_cycle()
-                    });
-                    return PredictionOutcome::Prediction(Box::new(Prediction {
-                        predicted,
-                        boundaries,
-                        changed_reads,
-                        isolation: self.config.isolation,
-                        strategy: self.config.strategy,
-                        stats: *stats,
-                        constraint_gen_time: *constraint_gen_time,
-                        solving_time,
-                        pco_cycle,
-                    }));
+                    (predicted, boundaries, changed_reads)
                 }
-            }
+            };
+            let pco_cycle = approx.as_ref().and_then(|symbols| {
+                let mut pco = isopredict_history::graph::DiGraph::new(observed.len());
+                for (&(t1, t2), &term) in &symbols.pco {
+                    if encoder.smt.model_bool(term) == Some(true) {
+                        pco.add_edge(t1, t2);
+                    }
+                }
+                pco.find_cycle()
+            });
+            return PredictionOutcome::Prediction(Box::new(Prediction {
+                predicted,
+                boundaries,
+                changed_reads,
+                isolation: self.config.isolation,
+                strategy: self.config.strategy,
+                stats: *stats,
+                constraint_gen_time: *constraint_gen_time,
+                solving_time,
+                pco_cycle,
+            }));
         }
     }
 
     /// The encode phase shared by every strategy, under an `encode` span.
     pub(crate) fn encode<'h>(&self, observed: &'h History, obs: &Obs) -> Encoding<'h> {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "timings feed the non-deterministic report half \
-                      (Prediction::constraint_gen_time), never the verdicts"
-        )]
-        let gen_start = Instant::now();
         let encode_span = obs.span("encode");
         let encode_obs = encode_span.obs();
         let mut encoder = Encoder::new(observed, self.config.strategy.boundary());
@@ -310,13 +301,12 @@ impl Predictor {
         });
         let stats = encoder.smt.stats();
         count_encoding_size(obs, &stats);
-        encode_span.finish();
         Encoding {
             encoder,
             approx,
             families,
             stats,
-            constraint_gen_time: gen_start.elapsed(),
+            constraint_gen_time: encode_span.finish(),
         }
     }
 
@@ -342,37 +332,29 @@ struct AxiomFamilies {
 
 /// When telemetry is on, installs the hook that turns the solver's
 /// count-only heartbeats (one every 10,000 conflicts, the SAT core's
-/// interval) into schema-v2 obs events. The bridge — not the solver — owns
-/// the wall clock, so the SAT core stays deterministic and obs-free: it
-/// reports counts, and the rate is computed here from the time between
-/// samples.
+/// interval) into obs events. The bridge — not the solver — owns the rate
+/// clock, so the SAT core stays deterministic and obs-free: it reports
+/// counts, and the rate is computed here from the time between samples. The
+/// solver is fresh per analysis, so the first sample's rate runs from the
+/// install, at zero conflicts.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "heartbeat rates are stream-only telemetry (the non-deterministic half); \
+              verdicts never read them"
+)]
 fn install_heartbeat_bridge(smt: &mut SmtSolver, obs: &Obs) {
     if !obs.is_enabled() {
         return;
     }
     let obs = obs.clone();
     let families: Vec<String> = smt.clause_families().to_vec();
-    let mut last: Option<(Instant, u64)> = None;
+    let mut last = (Instant::now(), 0u64);
     smt.set_heartbeat_hook(Some(Box::new(move |hb: &Heartbeat| {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "heartbeat rates are stream-only telemetry (the non-deterministic half); \
-                      verdicts never read them"
-        )]
         let now = Instant::now();
-        let conflicts_per_sec = match last {
-            Some((at, conflicts)) => {
-                let dt = now.duration_since(at).as_secs_f64();
-                let dc = hb.conflicts.saturating_sub(conflicts) as f64;
-                if dt > 0.0 {
-                    dc / dt
-                } else {
-                    0.0
-                }
-            }
-            None => 0.0,
-        };
-        last = Some((now, hb.conflicts));
+        let dt = now.duration_since(last.0).as_secs_f64();
+        let dc = hb.conflicts.saturating_sub(last.1) as f64;
+        let conflicts_per_sec = if dt > 0.0 { dc / dt } else { 0.0 };
+        last = (now, hb.conflicts);
         obs.heartbeat(HeartbeatSample {
             hb_seq: hb.seq,
             conflicts: hb.conflicts,
@@ -759,8 +741,8 @@ mod tests {
     }
 
     #[test]
-    fn heartbeats_stream_as_schema_v2_events() {
-        use isopredict_obs::{validate_stream, BufferSink, Registry};
+    fn heartbeats_stream_as_schema_events() {
+        use isopredict_obs::{validate_stream, BufferSink, Registry, SCHEMA_VERSION};
 
         let observed = deposit_withdraw_deposit();
         let sink = BufferSink::new();
@@ -770,7 +752,7 @@ mod tests {
         assert!(!outcome.is_unknown());
         registry.flush();
         let summary = validate_stream(&sink.contents()).expect("stream validates");
-        assert_eq!(summary.schema, 2);
+        assert_eq!(summary.schema, SCHEMA_VERSION);
         // One heartbeat per 10,000 conflicts (the orchestrator's campaign
         // tests cover a solve long enough to stream some); the validator has
         // already checked each one's family partition sums to its conflict

@@ -6,8 +6,8 @@
 //! Commands:
 //! * `record  --corpus DIR [--benchmarks smallbank,voter,...] [--seeds N] [--size small|large] [--metrics PATH | --metrics-stdout]`
 //!   — record observed executions and persist them (cached cells are
-//!   skipped). `--metrics PATH` streams per-cell `record` spans and
-//!   `corpus.*` counters as JSONL events to `PATH`.
+//!   skipped). `--metrics PATH` streams per-cell `record` spans, labelled
+//!   with the cell's source, as JSONL events to `PATH`.
 //! * `ls      --corpus DIR` — list indexed traces.
 //! * `show    --corpus DIR HASH` — print a trace (hash may be abbreviated).
 //! * `import  --corpus DIR FILE [--benchmark NAME] [--seed N] [--isolation LABEL]`
@@ -26,15 +26,13 @@
 #![warn(clippy::iter_over_hash_type)]
 
 use std::process::ExitCode;
-use std::time::Instant;
 
 use isopredict_corpus::hash::sha256;
-use isopredict_corpus::{Corpus, CorpusError};
+use isopredict_corpus::{observe_cell, Corpus, CorpusError};
 use isopredict_history::TraceMeta;
 use isopredict_obs::cli::{number, MetricsTarget};
 use isopredict_obs::Obs;
-use isopredict_store::StoreMode;
-use isopredict_workloads::{run, Benchmark, Schedule, WorkloadConfig, WorkloadSize};
+use isopredict_workloads::{Benchmark, WorkloadConfig, WorkloadSize};
 
 const USAGE: &str = "usage: trace <command> --corpus DIR [--metrics PATH | --metrics-stdout]
   record --corpus DIR [--benchmarks LIST] [--seeds N] [--size small|large]
@@ -172,14 +170,13 @@ fn main() -> ExitCode {
         }
     };
     let obs = registry.as_ref().map_or_else(Obs::off, |r| r.obs());
-    let mut corpus = match Corpus::open(&corpus) {
+    let corpus = match Corpus::open(&corpus) {
         Ok(opened) => opened,
         Err(error) => {
             eprintln!("trace: cannot open corpus at {corpus}: {error}");
             return ExitCode::FAILURE;
         }
     };
-    corpus.set_obs(obs.clone());
     let name = argv[1].as_str();
     let result = match command {
         Command::Record {
@@ -228,43 +225,17 @@ fn record(
                 "record",
                 &[("benchmark", benchmark.name()), ("seed", &seed_label)],
             );
-            let config = WorkloadConfig::sized(size, seed);
-            if let Some((entry, _)) = corpus.load_observed(benchmark.name(), &config)? {
-                cell_span.label("source", "corpus");
-                println!(
-                    "{:<11} {:>5} {:<8} {:>6} {:>8.1}ms  {}",
-                    benchmark.name(),
-                    seed,
-                    "corpus",
-                    entry.txns,
-                    entry.record_us as f64 / 1e3,
-                    &entry.hash[..12],
-                );
-                continue;
-            }
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "record_us is provenance metadata, not part of the canonical \
-                          (content-addressed) trace bytes"
-            )]
-            let start = Instant::now();
-            let output = run(
-                benchmark,
-                &config,
-                StoreMode::SerializableRecord,
-                &Schedule::RoundRobin,
-            );
-            let record_us = start.elapsed().as_micros() as u64;
-            let receipt = corpus.store(&output.trace(), record_us)?;
-            cell_span.label("source", "recorded");
+            let observed =
+                observe_cell(benchmark, &WorkloadConfig::sized(size, seed), Some(corpus))?;
+            cell_span.label("source", observed.source.name());
             println!(
                 "{:<11} {:>5} {:<8} {:>6} {:>8.1}ms  {}",
                 benchmark.name(),
                 seed,
-                "recorded",
-                output.history.committed_transactions().count(),
-                record_us as f64 / 1e3,
-                &receipt.hash[..12],
+                observed.source.name(),
+                observed.loaded.history.committed_transactions().count(),
+                observed.record_us as f64 / 1e3,
+                &observed.hash()[..12],
             );
         }
     }

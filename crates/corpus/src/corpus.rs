@@ -24,7 +24,6 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use isopredict_history::{History, OpTrace, Trace, TraceMeta};
-use isopredict_obs::Obs;
 use isopredict_store::StoreMode;
 use isopredict_workloads::WorkloadConfig;
 
@@ -344,8 +343,6 @@ pub struct Corpus {
     objects: PathBuf,
     manifest_path: PathBuf,
     manifest: Mutex<Manifest>,
-    /// Telemetry handle (disabled by default; see [`Corpus::set_obs`]).
-    obs: Obs,
 }
 
 impl Corpus {
@@ -384,16 +381,7 @@ impl Corpus {
             objects,
             manifest_path,
             manifest: Mutex::new(manifest),
-            obs: Obs::off(),
         })
-    }
-
-    /// Routes corpus telemetry through `obs`: `corpus.hit` / `corpus.miss`
-    /// counters on [`Corpus::load_observed`], `corpus.record_saved_us` for
-    /// the recording time a hit avoided, and `corpus.stored` for freshly
-    /// persisted traces. Off by default ([`Obs::off`]).
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs;
     }
 
     /// The corpus root directory.
@@ -471,7 +459,6 @@ impl Corpus {
             writes,
         });
         self.save_manifest(&manifest)?;
-        self.obs.count("corpus.stored", 1);
         Ok(StoreReceipt { hash, fresh: true })
     }
 
@@ -542,8 +529,8 @@ impl Corpus {
         }
     }
 
-    /// Record-or-load for an observed benchmark cell: returns the trace under
-    /// [`CorpusKey::observed`] if present.
+    /// The load half of record-or-load ([`crate::observe_cell`]): returns
+    /// the trace under [`CorpusKey::observed`] if present.
     ///
     /// # Errors
     ///
@@ -553,19 +540,11 @@ impl Corpus {
         benchmark: &str,
         config: &WorkloadConfig,
     ) -> Result<Option<(ManifestEntry, LoadedTrace)>, CorpusError> {
-        let key = CorpusKey::observed(benchmark, config);
-        match self.lookup(&key) {
-            None => {
-                self.obs.count("corpus.miss", 1);
-                Ok(None)
-            }
-            Some(entry) => {
-                let trace = self.load(&entry.hash)?;
-                self.obs.count("corpus.hit", 1);
-                self.obs.count("corpus.record_saved_us", entry.record_us);
-                Ok(Some((entry, LoadedTrace::new(trace)?)))
-            }
-        }
+        let Some(entry) = self.lookup(&CorpusKey::observed(benchmark, config)) else {
+            return Ok(None);
+        };
+        let trace = self.load(&entry.hash)?;
+        Ok(Some((entry, LoadedTrace::new(trace)?)))
     }
 
     /// Checks every manifest entry: the object exists, its bytes hash to its

@@ -12,6 +12,9 @@
 //!   ([`isopredict_history::Trace::to_canonical_json`]) and are addressed by
 //!   the SHA-256 of those bytes ([`hash`]), with collisions *detected* (byte
 //!   comparison on store) rather than assumed away.
+//! * **Record-or-load** — [`observe_cell`] loads a benchmark cell from the
+//!   corpus or records (and persists) it, for campaigns and `trace record`
+//!   alike ([`observe`]).
 //! * **Exact-match indexing** — a manifest maps
 //!   `(benchmark, workload config, seed, isolation, store version)` keys
 //!   ([`CorpusKey`]) to object hashes, so a campaign can ask "has this exact
@@ -59,6 +62,7 @@
 pub mod corpus;
 pub mod hash;
 pub mod import;
+pub mod observe;
 pub mod testutil;
 
 pub use corpus::{
@@ -66,3 +70,4 @@ pub use corpus::{
     VerifyReport,
 };
 pub use import::{normalize, ImportError};
+pub use observe::{observe_cell, ObservedCell, TraceSource};

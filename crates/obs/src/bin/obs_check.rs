@@ -71,12 +71,11 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
             println!(
-                "obs_check: {path}: {} events OK, schema v{} ({} spans, {} counter updates, {} gauge updates, {} heartbeats)",
+                "obs_check: {path}: {} events OK, schema v{} ({} spans, {} counter updates, {} heartbeats)",
                 summary.events,
                 summary.schema,
                 summary.spans_finished,
                 summary.counter_updates,
-                summary.gauge_updates,
                 summary.heartbeats
             );
             ExitCode::SUCCESS

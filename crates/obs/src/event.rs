@@ -3,11 +3,10 @@
 //! A run with a sink attached emits one JSON object per line:
 //!
 //! ```json
-//! {"type": "run_start", "schema": 2}
+//! {"type": "run_start", "schema": 3}
 //! {"type": "span_start", "seq": 1, "id": 0, "parent": null, "name": "campaign", "at_us": 2, "labels": []}
 //! {"type": "counter", "seq": 2, "name": "solver.conflicts", "delta": 42, "total": 42}
-//! {"type": "gauge", "seq": 3, "name": "workers", "value": 4}
-//! {"type": "span_end", "seq": 4, "id": 0, "name": "campaign", "path": "campaign", "dur_us": 1234, "labels": []}
+//! {"type": "span_end", "seq": 3, "id": 0, "name": "campaign", "path": "campaign", "dur_us": 1234, "labels": []}
 //! ```
 //!
 //! `seq` is a registry-global monotonic sequence number (events are emitted
@@ -21,9 +20,9 @@ use serde::{Deserialize, Serialize};
 /// Version of the JSONL schema, carried by the `run_start` event.
 ///
 /// v2 added the `heartbeat` event kind (solver progress samples with
-/// per-family conflict attribution). [`validate_stream`] accepts this
-/// version only.
-pub const SCHEMA_VERSION: u64 = 2;
+/// per-family conflict attribution); v3 removed the `gauge` kind.
+/// [`validate_stream`] accepts this version only.
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// One span label on the wire.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -84,16 +83,7 @@ pub enum ObsEvent {
         /// Counter value after the update.
         total: u64,
     },
-    /// A gauge was set.
-    Gauge {
-        /// Monotonic sequence number.
-        seq: u64,
-        /// Gauge name (e.g. `"campaign.workers"`).
-        name: String,
-        /// The new value.
-        value: u64,
-    },
-    /// A solver progress sample (schema v2): emitted every N conflicts while
+    /// A solver progress sample: emitted every N conflicts while
     /// a solve call runs, carrying counter deltas and the per-family conflict
     /// attribution so a budget-exhausted `unknown` is legible after the fact.
     Heartbeat {
@@ -105,7 +95,8 @@ pub enum ObsEvent {
         hb_seq: u64,
         /// Conflicts recorded by the solver so far.
         conflicts: u64,
-        /// Conflict rate since the previous heartbeat (0.0 on the first).
+        /// Conflict rate since the previous heartbeat (for the first, since
+        /// the solve began).
         conflicts_per_sec: f64,
         /// Restarts so far.
         restarts: u64,
@@ -133,19 +124,17 @@ impl ObsEvent {
             ObsEvent::SpanStart { seq, .. }
             | ObsEvent::SpanEnd { seq, .. }
             | ObsEvent::Counter { seq, .. }
-            | ObsEvent::Gauge { seq, .. }
             | ObsEvent::Heartbeat { seq, .. } => Some(*seq),
         }
     }
 }
 
 /// Every event kind the current schema knows, as it appears on the wire.
-const KNOWN_KINDS: [&str; 6] = [
+const KNOWN_KINDS: [&str; 5] = [
     "run_start",
     "span_start",
     "span_end",
     "counter",
-    "gauge",
     "heartbeat",
 ];
 
@@ -177,9 +166,7 @@ pub struct StreamSummary {
     pub spans_finished: usize,
     /// Counter updates.
     pub counter_updates: usize,
-    /// Gauge updates.
-    pub gauge_updates: usize,
-    /// Solver heartbeats (schema v2 streams only).
+    /// Solver heartbeats.
     pub heartbeats: usize,
     /// The schema version the stream declared.
     pub schema: u64,
@@ -279,7 +266,6 @@ pub fn validate_stream(text: &str) -> Result<StreamSummary, StreamError> {
                 summary.spans_finished += 1;
             }
             ObsEvent::Counter { .. } => summary.counter_updates += 1,
-            ObsEvent::Gauge { .. } => summary.gauge_updates += 1,
             ObsEvent::Heartbeat {
                 conflicts,
                 families,
@@ -339,13 +325,8 @@ mod tests {
                 delta: 5,
                 total: 5,
             },
-            ObsEvent::Gauge {
-                seq: 3,
-                name: "campaign.experiments".into(),
-                value: 12,
-            },
             ObsEvent::Heartbeat {
-                seq: 4,
+                seq: 3,
                 at_us: 120,
                 hb_seq: 1,
                 conflicts: 7,
@@ -359,7 +340,7 @@ mod tests {
                 conflicts_by_family: vec![3, 4],
             },
             ObsEvent::SpanEnd {
-                seq: 5,
+                seq: 4,
                 id: 0,
                 name: "campaign".into(),
                 path: "campaign".into(),
@@ -381,7 +362,7 @@ mod tests {
     #[test]
     fn valid_stream_summarizes() {
         let text = stream(&[
-            r#"{"type": "run_start", "schema": 2}"#,
+            r#"{"type": "run_start", "schema": 3}"#,
             r#"{"type": "span_start", "seq": 1, "id": 0, "parent": null, "name": "a", "at_us": 0, "labels": []}"#,
             r#"{"type": "span_start", "seq": 2, "id": 1, "parent": 0, "name": "b", "at_us": 1, "labels": []}"#,
             r#"{"type": "counter", "seq": 3, "name": "c", "delta": 1, "total": 1}"#,
@@ -404,7 +385,7 @@ mod tests {
             .contains("run_start"));
 
         let unknown_parent = stream(&[
-            r#"{"type": "run_start", "schema": 2}"#,
+            r#"{"type": "run_start", "schema": 3}"#,
             r#"{"type": "span_start", "seq": 1, "id": 0, "parent": 7, "name": "a", "at_us": 0, "labels": []}"#,
         ]);
         let error = validate_stream(&unknown_parent).unwrap_err();
@@ -412,16 +393,16 @@ mod tests {
         assert!(error.message.contains("unknown parent"));
 
         let stale_seq = stream(&[
-            r#"{"type": "run_start", "schema": 2}"#,
-            r#"{"type": "gauge", "seq": 2, "name": "g", "value": 1}"#,
-            r#"{"type": "gauge", "seq": 2, "name": "g", "value": 2}"#,
+            r#"{"type": "run_start", "schema": 3}"#,
+            r#"{"type": "counter", "seq": 2, "name": "c", "delta": 1, "total": 1}"#,
+            r#"{"type": "counter", "seq": 2, "name": "c", "delta": 1, "total": 2}"#,
         ]);
         assert!(validate_stream(&stale_seq)
             .unwrap_err()
             .message
             .contains("does not increase"));
 
-        let garbage = stream(&[r#"{"type": "run_start", "schema": 2}"#, "not json"]);
+        let garbage = stream(&[r#"{"type": "run_start", "schema": 3}"#, "not json"]);
         assert_eq!(validate_stream(&garbage).unwrap_err().line, 2);
 
         assert!(validate_stream("").unwrap_err().message.contains("empty"));
@@ -429,7 +410,7 @@ mod tests {
 
     #[test]
     fn future_schema_versions_are_rejected() {
-        for schema in [3, 999] {
+        for schema in [4, 999] {
             let text = format!(r#"{{"type": "run_start", "schema": {schema}}}"#);
             assert!(validate_stream(&text)
                 .unwrap_err()
@@ -451,17 +432,30 @@ mod tests {
     }
 
     #[test]
-    fn unknown_event_kinds_are_named_with_their_line() {
+    fn v2_streams_are_rejected_as_unsupported() {
+        // Schema 2 still carried gauges; nothing produces it any more.
         let text = stream(&[
             r#"{"type": "run_start", "schema": 2}"#,
-            r#"{"type": "gauge", "seq": 1, "name": "g", "value": 1}"#,
-            r#"{"type": "flamegraph", "seq": 2}"#,
+            r#"{"type": "gauge", "seq": 1, "name": "workers", "value": 2}"#,
+        ]);
+        let error = validate_stream(&text).unwrap_err();
+        assert_eq!(error.line, 1);
+        assert!(error.message.contains("unsupported schema"));
+    }
+
+    #[test]
+    fn unknown_event_kinds_are_named_with_their_line() {
+        let text = stream(&[
+            r#"{"type": "run_start", "schema": 3}"#,
+            r#"{"type": "counter", "seq": 1, "name": "c", "delta": 1, "total": 1}"#,
+            r#"{"type": "gauge", "seq": 2, "name": "g", "value": 1}"#,
         ]);
         let error = validate_stream(&text).unwrap_err();
         assert_eq!(error.line, 3);
-        assert!(error.message.contains("unknown event kind `flamegraph`"));
+        // Gauges left the schema in v3.
+        assert!(error.message.contains("unknown event kind `gauge`"));
 
-        let untagged = stream(&[r#"{"type": "run_start", "schema": 2}"#, r#"{"seq": 1}"#]);
+        let untagged = stream(&[r#"{"type": "run_start", "schema": 3}"#, r#"{"seq": 1}"#]);
         assert!(validate_stream(&untagged)
             .unwrap_err()
             .message
@@ -471,14 +465,14 @@ mod tests {
     #[test]
     fn heartbeat_partitions_must_sum_to_their_conflict_count() {
         let text = stream(&[
-            r#"{"type": "run_start", "schema": 2}"#,
+            r#"{"type": "run_start", "schema": 3}"#,
             r#"{"type": "heartbeat", "seq": 1, "at_us": 5, "hb_seq": 1, "conflicts": 9, "conflicts_per_sec": 1.0, "restarts": 0, "trail_depth": 1, "learnt_clauses": 0, "vars_assigned_at_root": 0, "total_vars": 4, "families": ["default"], "conflicts_by_family": [2]}"#,
         ]);
         let error = validate_stream(&text).unwrap_err();
         assert!(error.message.contains("sums to 2"));
 
         let ragged = stream(&[
-            r#"{"type": "run_start", "schema": 2}"#,
+            r#"{"type": "run_start", "schema": 3}"#,
             r#"{"type": "heartbeat", "seq": 1, "at_us": 5, "hb_seq": 1, "conflicts": 2, "conflicts_per_sec": 1.0, "restarts": 0, "trail_depth": 1, "learnt_clauses": 0, "vars_assigned_at_root": 0, "total_vars": 4, "families": ["default", "theory"], "conflicts_by_family": [2]}"#,
         ]);
         assert!(validate_stream(&ragged)

@@ -10,16 +10,19 @@
 //! # Model
 //!
 //! * A [`Registry`] owns the run's telemetry: finished [`SpanRecord`]s,
-//!   monotonic counters, gauges, and an optional **JSONL event sink** that
+//!   monotonic counters, and an optional **JSONL event sink** that
 //!   streams every span and counter update as one JSON object per line.
 //! * An [`Obs`] is a cheap, cloneable handle *into* a registry, carrying the
-//!   current span context. The disabled handle ([`Obs::off`]) makes every
-//!   operation a no-op, so instrumented code pays one branch when
+//!   current span context. The disabled handle ([`Obs::off`]) records
+//!   nothing, so instrumented code pays one branch per counter when
 //!   observability is off — the product code never needs `#[cfg]`s or
 //!   `Option<&Registry>` plumbing.
 //! * [`Obs::span`] opens a hierarchical timer; the returned [`Span`] closes
 //!   it on drop (or explicit [`Span::finish`]) and hands out child contexts
-//!   via [`Span::obs`]. Span *names* form stable taxonomy paths
+//!   via [`Span::obs`]. Spans are the pipeline's only clock: a span reads
+//!   its start time even from the disabled handle, and [`Span::finish`]
+//!   returns the duration, so the phase times a report stores are the ones
+//!   its telemetry records. Span *names* form stable taxonomy paths
 //!   (`campaign/predict/shard-0/solve`); run-dependent detail (benchmark,
 //!   seed, outcome, …) goes into labels.
 //! * [`Snapshot`]/[`MetricsSection`] turn the registry's raw records into the
@@ -45,7 +48,7 @@
 //!     let predict = obs.span("predict");
 //!     let solve = predict.obs().span("solve");
 //!     predict.obs().count("solver.conflicts", 42);
-//!     solve.finish();
+//!     let _solving_time = solve.finish();
 //! }
 //! let snapshot = registry.snapshot();
 //! assert_eq!(snapshot.counter("solver.conflicts"), 42);

@@ -15,17 +15,17 @@ pub struct SpanAggregate {
     pub total_us: u64,
 }
 
-/// A named counter or gauge value.
+/// A named counter value.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CounterValue {
     /// Metric name (e.g. `"solver.conflicts"`).
     pub name: String,
-    /// Final (counter) or latest (gauge) value.
+    /// Final value.
     pub value: u64,
 }
 
 /// The aggregated `metrics` section of a report: per-path span totals,
-/// counters, gauges, and how much of the root span's wall time its direct
+/// counters, and how much of the root span's wall time its direct
 /// children account for.
 ///
 /// Lives in the **non-deterministic** half of campaign reports (durations
@@ -37,8 +37,6 @@ pub struct MetricsSection {
     pub spans: Vec<SpanAggregate>,
     /// Final counter values, sorted by name.
     pub counters: Vec<CounterValue>,
-    /// Latest gauge values, sorted by name.
-    pub gauges: Vec<CounterValue>,
     /// Fraction of the root span's wall time covered by its direct children
     /// (sequential phases sum below 1.0; overlapping parallel children can
     /// push it above).
@@ -48,7 +46,7 @@ pub struct MetricsSection {
 impl MetricsSection {
     /// Aggregates the subtree rooted at span `root` (paths are relative to
     /// it, starting with its own name), together with the snapshot's
-    /// counters and gauges. Spans still open are excluded from totals.
+    /// counters. Spans still open are excluded from totals.
     #[must_use]
     pub fn for_span(snapshot: &Snapshot, root: u64) -> MetricsSection {
         // Walk the subtree: relative path per span id.
@@ -101,14 +99,6 @@ impl MetricsSection {
                     value: *value,
                 })
                 .collect(),
-            gauges: snapshot
-                .gauges
-                .iter()
-                .map(|(name, value)| CounterValue {
-                    name: name.clone(),
-                    value: *value,
-                })
-                .collect(),
             attributed_wall_fraction: if root_us == 0 {
                 0.0
             } else {
@@ -153,7 +143,6 @@ mod tests {
             let _validate = campaign.obs().span("validate");
         }
         campaign.obs().count("solver.conflicts", 7);
-        campaign.obs().gauge("workers", 2);
         let root = campaign.id().expect("enabled");
         campaign.finish();
 
@@ -163,7 +152,6 @@ mod tests {
         let solves = metrics.span("campaign/predict/solve").unwrap();
         assert_eq!(solves.count, 3);
         assert_eq!(metrics.counter("solver.conflicts"), 7);
-        assert_eq!(metrics.gauges[0].name, "workers");
         // Sleep-free spans are microsecond-scale; coverage just needs to be a
         // sane fraction.
         assert!(metrics.attributed_wall_fraction >= 0.0);

@@ -3,15 +3,15 @@
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
 use crate::event::{Label, ObsEvent, SCHEMA_VERSION};
 use crate::span::{Snapshot, SpanRecord};
 
-/// Owns one run's telemetry: span records, counters, gauges, and the
-/// optional JSONL sink. Handles into the registry are [`Obs`] values obtained
+/// Owns one run's telemetry: span records, counters, and the optional
+/// JSONL sink. Handles into the registry are [`Obs`] values obtained
 /// from [`Registry::obs`]; the registry itself stays with whoever will
 /// aggregate the results (a CLI, a benchmark harness, a test).
 pub struct Registry {
@@ -26,7 +26,6 @@ struct Inner {
 struct State {
     spans: Vec<SpanRecord>,
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, u64>,
     seq: u64,
     sink: Option<Box<dyn Write + Send>>,
 }
@@ -59,7 +58,6 @@ impl Registry {
                 state: Mutex::new(State {
                     spans: Vec::new(),
                     counters: BTreeMap::new(),
-                    gauges: BTreeMap::new(),
                     seq: 0,
                     sink,
                 }),
@@ -113,7 +111,6 @@ impl Inner {
                 .iter()
                 .map(|(k, v)| (k.clone(), *v))
                 .collect(),
-            gauges: state.gauges.iter().map(|(k, v)| (k.clone(), *v)).collect(),
         }
     }
 
@@ -140,7 +137,8 @@ pub struct HeartbeatSample {
     pub hb_seq: u64,
     /// Conflicts recorded by the solver so far.
     pub conflicts: u64,
-    /// Conflict rate since the previous heartbeat (0.0 on the first).
+    /// Conflict rate since the previous heartbeat (for the first, since the
+    /// solve began).
     pub conflicts_per_sec: f64,
     /// Restarts so far.
     pub restarts: u64,
@@ -159,9 +157,9 @@ pub struct HeartbeatSample {
 }
 
 /// A cheap, cloneable handle into a [`Registry`], carrying the current span
-/// context. The disabled handle ([`Obs::off`], also `Default`) turns every
-/// operation into a no-op, so instrumented code takes an `&Obs` (or stores an
-/// `Obs`) unconditionally.
+/// context. The disabled handle ([`Obs::off`], also `Default`) records
+/// nothing, so instrumented code takes an `&Obs` (or stores an `Obs`)
+/// unconditionally; its spans still time themselves.
 #[derive(Clone, Default)]
 pub struct Obs {
     ctx: Option<Ctx>,
@@ -183,7 +181,8 @@ impl std::fmt::Debug for Obs {
 }
 
 impl Obs {
-    /// The disabled handle: every operation is a no-op.
+    /// The disabled handle: nothing is recorded or streamed (spans still
+    /// return their duration from [`Span::finish`]).
     #[must_use]
     pub fn off() -> Obs {
         Obs { ctx: None }
@@ -195,7 +194,9 @@ impl Obs {
         self.ctx.is_some()
     }
 
-    /// Opens a span as a child of the current context.
+    /// Opens a span as a child of the current context. The span reads the
+    /// clock whether or not this handle records: [`Span::finish`] returns its
+    /// duration either way.
     #[must_use]
     pub fn span(&self, name: &str) -> Span {
         self.span_with(name, &[])
@@ -204,14 +205,14 @@ impl Obs {
     /// Opens a span with labels attached from the start.
     #[must_use]
     pub fn span_with(&self, name: &str, labels: &[(&str, &str)]) -> Span {
+        let start = Instant::now();
         let Some(ctx) = &self.ctx else {
             return Span {
                 obs: Obs::off(),
-                start: None,
-                finished: true,
+                start,
+                finished: false,
             };
         };
-        let start = Instant::now();
         let start_us = ctx.inner.now_us();
         let labels: Vec<(String, String)> = labels
             .iter()
@@ -248,7 +249,7 @@ impl Obs {
                     parent: Some(id),
                 }),
             },
-            start: Some(start),
+            start,
             finished: false,
         }
     }
@@ -275,7 +276,7 @@ impl Obs {
         ctx.inner.emit(&mut state, &event);
     }
 
-    /// Emits a solver progress heartbeat (schema v2) to the event stream.
+    /// Emits a solver progress heartbeat to the event stream.
     ///
     /// Heartbeats are stream-only telemetry: they do not accumulate in the
     /// registry snapshot (their content is a point-in-time sample, not an
@@ -303,20 +304,6 @@ impl Obs {
         ctx.inner.emit(&mut state, &event);
     }
 
-    /// Sets the named gauge to `value`.
-    pub fn gauge(&self, name: &str, value: u64) {
-        let Some(ctx) = &self.ctx else { return };
-        let mut state = ctx.inner.state.lock();
-        state.gauges.insert(name.to_string(), value);
-        state.seq += 1;
-        let event = ObsEvent::Gauge {
-            seq: state.seq,
-            name: name.to_string(),
-            value,
-        };
-        ctx.inner.emit(&mut state, &event);
-    }
-
     /// A snapshot of the underlying registry (`None` when disabled).
     #[must_use]
     pub fn snapshot(&self) -> Option<Snapshot> {
@@ -324,13 +311,14 @@ impl Obs {
     }
 }
 
-/// An open span. Finishes (records its duration and emits `span_end`) on
-/// [`Span::finish`] or on drop; child spans and metrics hang off
+/// An open span: the pipeline's one timer. Finishes (records its duration
+/// and emits `span_end` when telemetry is on) on [`Span::finish`], which
+/// returns the duration, or on drop; child spans and metrics hang off
 /// [`Span::obs`].
 pub struct Span {
     /// Context whose parent is this span (or the disabled handle).
     obs: Obs,
-    start: Option<Instant>,
+    start: Instant,
     finished: bool,
 }
 
@@ -358,21 +346,20 @@ impl Span {
             .push((key.to_string(), value.to_string()));
     }
 
-    /// Closes the span now (otherwise drop does).
-    pub fn finish(mut self) {
-        self.close();
+    /// Closes the span now (otherwise drop does) and returns its duration,
+    /// measured whether or not telemetry is on.
+    pub fn finish(mut self) -> Duration {
+        self.close()
     }
 
-    fn close(&mut self) {
-        if self.finished {
-            return;
-        }
+    fn close(&mut self) -> Duration {
+        let elapsed = self.start.elapsed();
         self.finished = true;
-        let (Some(ctx), Some(start)) = (&self.obs.ctx, self.start) else {
-            return;
+        let Some(ctx) = &self.obs.ctx else {
+            return elapsed;
         };
-        let Some(id) = ctx.parent else { return };
-        let dur_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
+        let Some(id) = ctx.parent else { return elapsed };
+        let dur_us = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
         let mut state = ctx.inner.state.lock();
         state.spans[id as usize].dur_us = Some(dur_us);
         state.seq += 1;
@@ -393,12 +380,15 @@ impl Span {
                 .collect(),
         };
         ctx.inner.emit(&mut state, &event);
+        elapsed
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        self.close();
+        if !self.finished {
+            self.close();
+        }
     }
 }
 
@@ -447,9 +437,10 @@ mod tests {
         assert!(!obs.is_enabled());
         let span = obs.span("anything");
         span.obs().count("c", 5);
-        span.obs().gauge("g", 1);
         assert!(span.id().is_none());
-        span.finish();
+        std::thread::sleep(Duration::from_millis(2));
+        // Telemetry is off, but the span is still the timer.
+        assert!(span.finish() >= Duration::from_millis(2));
         assert!(obs.snapshot().is_none());
         assert_eq!(format!("{obs:?}"), "Obs(off)");
     }
@@ -464,16 +455,17 @@ mod tests {
             inner.obs().count("hits", 2);
             inner.obs().count("hits", 3);
             inner.obs().count("zero", 0);
-            inner.obs().gauge("depth", 2);
         }
         outer.label("outcome", "done");
-        outer.finish();
+        let outer_dur = outer.finish();
 
         let snapshot = registry.snapshot();
+        // The duration the caller gets is the one the registry records.
+        let micros = u64::try_from(outer_dur.as_micros()).unwrap();
+        assert_eq!(snapshot.spans[0].dur_us, Some(micros));
         assert_eq!(snapshot.counter("hits"), 5);
         assert_eq!(snapshot.counter("zero"), 0);
         assert!(snapshot.counters.iter().all(|(name, _)| name != "zero"));
-        assert_eq!(snapshot.gauge("depth"), Some(2));
         assert_eq!(snapshot.spans.len(), 2);
         assert!(snapshot.spans.iter().all(|s| s.dur_us.is_some()));
 

@@ -42,8 +42,6 @@ pub struct Snapshot {
     pub spans: Vec<SpanRecord>,
     /// Final counter values, sorted by name.
     pub counters: Vec<(String, u64)>,
-    /// Latest gauge values, sorted by name.
-    pub gauges: Vec<(String, u64)>,
 }
 
 impl Snapshot {
@@ -54,12 +52,6 @@ impl Snapshot {
             .iter()
             .find(|(n, _)| n == name)
             .map_or(0, |(_, v)| *v)
-    }
-
-    /// The latest value of the named gauge, if ever set.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Option<u64> {
-        self.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
     }
 }
 
@@ -204,11 +196,8 @@ mod tests {
         let snapshot = Snapshot {
             spans: Vec::new(),
             counters: vec![("a".into(), 3)],
-            gauges: vec![("g".into(), 7)],
         };
         assert_eq!(snapshot.counter("a"), 3);
         assert_eq!(snapshot.counter("missing"), 0);
-        assert_eq!(snapshot.gauge("g"), Some(7));
-        assert_eq!(snapshot.gauge("missing"), None);
     }
 }

@@ -20,10 +20,13 @@
 //! With telemetry on, the stream also carries a solver heartbeat every
 //! 10,000 conflicts.
 //!
-//! An unknown option or name, a malformed number, an empty matrix or a
-//! corpus that cannot be opened prints the usage line and exits with status
-//! 2; a metrics stream that cannot be created exits 2 before any work runs.
+//! An unknown option or name, a malformed number, an empty matrix, a
+//! corpus that cannot be opened or an `--out`/`--det-out` file that cannot
+//! be created prints the usage line and exits with status 2; a metrics
+//! stream that cannot be created exits 2 before any work runs.
 
+use std::fs::File;
+use std::io::Write;
 use std::process::ExitCode;
 
 use isopredict::{IsolationLevel, Obs, Strategy};
@@ -42,17 +45,40 @@ const USAGE: &str = "usage: campaign [--paper] [--benchmarks LIST] [--seeds N] \
 struct Args {
     campaign: Campaign,
     options: CampaignOptions,
-    out: Option<String>,
-    det_out: Option<String>,
+    out: Option<ReportFile>,
+    det_out: Option<ReportFile>,
     metrics: Option<MetricsTarget>,
+}
+
+/// A report destination, created while parsing so that a path that cannot
+/// be written is a usage error before any work runs.
+#[derive(Debug)]
+struct ReportFile {
+    path: String,
+    file: File,
+}
+
+impl ReportFile {
+    fn create(path: String) -> Result<ReportFile, String> {
+        let file = File::create(&path).map_err(|error| format!("cannot create {path}: {error}"))?;
+        Ok(ReportFile { path, file })
+    }
+
+    fn write(mut self, contents: &str, what: &str) {
+        self.file
+            .write_all(contents.as_bytes())
+            .unwrap_or_else(|error| panic!("write {what} to {}: {error}", self.path));
+        eprintln!("{what} written to {}", self.path);
+    }
 }
 
 /// Parses the arguments after the program name. Every option must be
 /// known, every value well-formed and every name one the matrix knows, so
 /// a typo cannot silently fall back to a default. `--paper` selects the
 /// paper's matrix before any other option narrows it, wherever it appears.
-/// `--corpus` is opened (and created if missing) here, so a bad directory
-/// is a usage error rather than a failure mid-run.
+/// `--corpus` is opened (and created if missing) and the `--out`/`--det-out`
+/// files are created here, so a bad path is a usage error rather than a
+/// failure mid-run or after it.
 fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let args: Vec<String> = args.into_iter().collect();
     let mut campaign = if args.iter().any(|a| a == "--paper") {
@@ -102,8 +128,8 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
                     .map_err(|error| format!("cannot open corpus at {dir}: {error}"))?;
                 options.corpus = Some(dir.into());
             }
-            "--out" => out = Some(value()?),
-            "--det-out" => det_out = Some(value()?),
+            "--out" => out = Some(ReportFile::create(value()?)?),
+            "--det-out" => det_out = Some(ReportFile::create(value()?)?),
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
@@ -192,12 +218,10 @@ fn main() -> ExitCode {
         report.summary.sharded,
     );
     println!(
-        "timing: {:.2}s wall on {} workers ({:.2}s cpu, {:.2} units/s, {:.2}x speedup estimate)",
+        "timing: {:.2}s wall on {} workers ({:.2}s cpu)",
         report.timing.wall_us as f64 / 1e6,
         report.timing.workers,
         report.timing.cpu_us as f64 / 1e6,
-        report.timing.units_per_sec,
-        report.timing.speedup_estimate,
     );
     if options.corpus.is_some() {
         println!(
@@ -224,13 +248,11 @@ fn main() -> ExitCode {
         );
     }
 
-    if let Some(path) = out {
-        std::fs::write(&path, report.to_json()).expect("write report");
-        eprintln!("report written to {path}");
+    if let Some(out) = out {
+        out.write(&report.to_json(), "report");
     }
-    if let Some(path) = det_out {
-        std::fs::write(&path, report.deterministic_json()).expect("write deterministic report");
-        eprintln!("deterministic report half written to {path}");
+    if let Some(det_out) = det_out {
+        det_out.write(&report.deterministic_json(), "deterministic report half");
     }
     ExitCode::SUCCESS
 }
@@ -243,8 +265,19 @@ mod tests {
         parse_args(args.iter().map(ToString::to_string))
     }
 
+    /// A regular temporary file and a path below it, where nothing can be
+    /// created.
+    fn below_a_file(name: &str) -> (std::path::PathBuf, String) {
+        let file = std::env::temp_dir().join(format!("campaign-{name}-{}", std::process::id()));
+        std::fs::write(&file, b"not a directory").expect("write temp file");
+        let below = file.join(name).to_str().expect("utf-8 path").to_string();
+        (file, below)
+    }
+
     #[test]
     fn accepted_flags_set_the_campaign() {
+        let det_out = std::env::temp_dir().join(format!("campaign-det-{}", std::process::id()));
+        let det_out = det_out.to_str().expect("utf-8 path");
         let args = parse(&[
             "--benchmarks",
             "smallbank,voter",
@@ -263,16 +296,17 @@ mod tests {
             "--no-preprocess",
             "--metrics-stdout",
             "--det-out",
-            "det.json",
+            det_out,
         ])
         .expect("valid arguments");
+        std::fs::remove_file(det_out).expect("--det-out is created while parsing");
         assert_eq!(args.campaign.experiments(), 2 * 3);
         assert_eq!(args.options.conflict_budget, Some(5000));
         assert_eq!(args.options.workers, 2);
         assert_eq!(args.options.shard_policy, ShardPolicy::Never);
         assert!(!args.options.preprocess);
-        assert_eq!(args.det_out.as_deref(), Some("det.json"));
-        assert_eq!(args.out, None);
+        assert_eq!(args.det_out.map(|f| f.path).as_deref(), Some(det_out));
+        assert!(args.out.is_none());
         assert_eq!(args.metrics, Some(MetricsTarget::Stdout));
         let args = parse(&["--metrics", "m.jsonl"]).expect("valid arguments");
         assert_eq!(args.metrics, Some(MetricsTarget::File("m.jsonl".into())));
@@ -281,12 +315,22 @@ mod tests {
     }
 
     #[test]
+    fn uncreatable_report_files_are_rejected() {
+        for flag in ["--out", "--det-out"] {
+            let (file, below) = below_a_file(&flag[2..]);
+            let error = parse(&[flag, &below]).unwrap_err();
+            std::fs::remove_file(&file).expect("remove temp file");
+            assert!(
+                error.contains("cannot create") && error.contains(&below),
+                "{error}"
+            );
+        }
+    }
+
+    #[test]
     fn unopenable_corpus_is_rejected() {
-        // A directory cannot be created below a regular file.
-        let file = std::env::temp_dir().join(format!("campaign-args-{}", std::process::id()));
-        std::fs::write(&file, b"not a directory").expect("write temp file");
-        let dir = file.join("corpus");
-        let error = parse(&["--corpus", dir.to_str().expect("utf-8 path")]).unwrap_err();
+        let (file, dir) = below_a_file("corpus");
+        let error = parse(&["--corpus", &dir]).unwrap_err();
         std::fs::remove_file(&file).expect("remove temp file");
         assert!(error.contains("cannot open corpus"), "{error}");
     }

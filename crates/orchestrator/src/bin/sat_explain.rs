@@ -164,8 +164,8 @@ fn render(pm: &PostmortemRecord, out: &mut impl Write) -> std::io::Result<()> {
     )?;
     writeln!(
         out,
-        "      {:>6} {:>10} {:>10} {:>8} {:>8} {:>12} {:<24}",
-        "seq", "conflicts", "decisions", "trail", "learnt", "root-fixed", "busiest family"
+        "      {:>6} {:>10} {:>10} {:>8} {:>8} {:>12} busiest family",
+        "seq", "conflicts", "decisions", "trail", "learnt", "root-fixed"
     )?;
     for hb in &solver.heartbeats {
         let busiest = busiest_family(&hb.conflicts_by_family)
@@ -173,7 +173,7 @@ fn render(pm: &PostmortemRecord, out: &mut impl Write) -> std::io::Result<()> {
             .map_or("-", String::as_str);
         writeln!(
             out,
-            "      {:>6} {:>10} {:>10} {:>8} {:>8} {:>7}/{:<4} {:<24}",
+            "      {:>6} {:>10} {:>10} {:>8} {:>8} {:>7}/{:<4} {}",
             hb.seq,
             hb.conflicts,
             hb.decisions,
@@ -260,7 +260,8 @@ mod tests {
         };
         let mut out = Vec::new();
         render(&record, &mut out).expect("render into memory");
-        // Rows are padded to the column width, trailing spaces included.
+        // Columns are padded to their width, except the last: no line ends
+        // in a space.
         let expected = concat!(
             "\n",
             "  Voter seed 3 · Approx-Relaxed @ causal · unit shard-1\n",
@@ -273,9 +274,9 @@ mod tests {
             "    feasibility                    60         10         30         2000         30\n",
             "    unserializability              90         50         70         9000         70\n",
             "    heartbeat trajectory (2 retained, oldest first):\n",
-            "         seq  conflicts  decisions    trail   learnt   root-fixed busiest family          \n",
-            "           1         50        300       41       25       7/120  theory                  \n",
-            "           2        130        600       42       50       7/120  unserializability       \n",
+            "         seq  conflicts  decisions    trail   learnt   root-fixed busiest family\n",
+            "           1         50        300       41       25       7/120  theory\n",
+            "           2        130        600       42       50       7/120  unserializability\n",
         );
         assert_eq!(String::from_utf8(out).expect("utf-8"), expected);
     }

@@ -27,14 +27,14 @@
 //! workers execute it (see `tests/campaign_determinism.rs`).
 
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use isopredict::{validate, PredictionOutcome, Predictor, PredictorConfig, Strategy};
-use isopredict_corpus::{hash::sha256_hex, Corpus, LoadedTrace};
+use isopredict_corpus::{observe_cell, Corpus, TraceSource};
 use isopredict_history::History;
 use isopredict_obs::{MetricsSection, Obs};
 use isopredict_store::{IsolationLevel, StoreMode};
-use isopredict_workloads::{run, Benchmark, RunOutput, Schedule, WorkloadConfig, WorkloadSize};
+use isopredict_workloads::{run, Benchmark, Schedule, WorkloadConfig, WorkloadSize};
 
 use crate::merge::merge_outcomes;
 use crate::report::{
@@ -199,10 +199,12 @@ impl Campaign {
     /// children, per-cell `cell` spans (with a `connectivity` child), one
     /// span per analysis unit (named `whole` / `shard-N`, nesting the
     /// predictor's `encode` and `solve` spans), per-experiment `experiment`
-    /// spans labelled with their outcome, and the predictor's and corpus's
-    /// counters. The aggregated [`MetricsSection`] lands in the report's
-    /// non-deterministic half; the deterministic half is byte-identical
-    /// whether telemetry is collected or not.
+    /// spans labelled with their outcome, and the predictor's counters. The
+    /// aggregated [`MetricsSection`] lands in the report's non-deterministic
+    /// half; the deterministic half is byte-identical whether telemetry is
+    /// collected or not. The same spans time the report's phases
+    /// ([`CampaignTiming`]) and per-task busy times, with telemetry on or
+    /// off.
     ///
     /// # Panics
     ///
@@ -216,19 +218,14 @@ impl Campaign {
         let pool = WorkerPool::new(options.workers);
         let campaign_span = obs.span("campaign");
         let campaign_obs = campaign_span.obs();
-        campaign_obs.gauge("workers", pool.workers() as u64);
-        let campaign_start = Instant::now();
         let corpus: Option<Corpus> = options.corpus.as_ref().map(|dir| {
-            let mut corpus = Corpus::open(dir)
-                .unwrap_or_else(|error| panic!("cannot open corpus at {}: {error}", dir.display()));
-            corpus.set_obs(campaign_obs.clone());
-            corpus
+            Corpus::open(dir)
+                .unwrap_or_else(|error| panic!("cannot open corpus at {}: {error}", dir.display()))
         });
 
         // Phase 1 — record-or-load one observed execution per (benchmark,
         // seed). Both paths analyze the history rebuilt from the canonical
         // trace, so a corpus hit changes nothing but the time spent.
-        let record_start = Instant::now();
         let record_span = campaign_obs.span("record");
         let cells: Vec<(Benchmark, u64)> = self
             .benchmarks
@@ -241,9 +238,12 @@ impl Campaign {
                 "cell",
                 &[("benchmark", benchmark.name()), ("seed", &seed_label)],
             );
-            let busy = Instant::now();
             let config = self.config_for(seed);
-            let observed = observe_cell(benchmark, &config, corpus.as_ref());
+            // Campaigns treat corpus failures as fatal configuration errors
+            // rather than silently re-recording, so drift never goes
+            // unnoticed.
+            let observed = observe_cell(benchmark, &config, corpus.as_ref())
+                .unwrap_or_else(|error| panic!("corpus cell {benchmark} seed {seed}: {error}"));
             let plan = {
                 let _connectivity = cell_span.obs().span("connectivity");
                 ShardPlan::new(&observed.loaded.history, options.shard_policy)
@@ -260,15 +260,13 @@ impl Campaign {
                 trace_hash,
                 record_us: observed.record_us,
                 plan,
-                busy: busy.elapsed(),
+                busy: cell_span.finish(),
             }
         });
-        record_span.finish();
-        let record_wall = record_start.elapsed();
+        let record_wall = record_span.finish();
 
         // Phase 2 — one prediction task per (observation, strategy,
         // isolation, shard unit), expanded in deterministic matrix order.
-        let predict_start = Instant::now();
         let predict_span = campaign_obs.span("predict");
         let mut unit_tasks: Vec<UnitTask> = Vec::new();
         for (observation_index, observation) in observations.iter().enumerate() {
@@ -288,7 +286,6 @@ impl Campaign {
             }
         }
         let unit_results: Vec<(PredictionOutcome, Duration)> = pool.run(&unit_tasks, |_, task| {
-            let busy = Instant::now();
             let observation = &observations[task.observation];
             let unit = &observation.plan.units[task.unit];
             let seed_label = observation.seed.to_string();
@@ -311,14 +308,12 @@ impl Campaign {
             });
             let history = observation.plan.history_for(&observation.history, unit);
             let outcome = predictor.predict(&history, unit_span.obs());
-            (outcome, busy.elapsed())
+            (outcome, unit_span.finish())
         });
-        predict_span.finish();
-        let predict_wall = predict_start.elapsed();
+        let predict_wall = predict_span.finish();
 
         // Phase 3 — merge shard verdicts per experiment and validate
         // predictions by steered replay.
-        let validate_start = Instant::now();
         let validate_span = campaign_obs.span("validate");
         let mut experiments: Vec<ExperimentInput> = Vec::new();
         {
@@ -341,7 +336,6 @@ impl Campaign {
         }
         let experiment_results: Vec<(TaskRecord, TaskRun, Duration)> =
             pool.run(&experiments, |_, experiment| {
-                let busy = Instant::now();
                 let observation = &observations[experiment.observation];
                 let seed_label = observation.seed.to_string();
                 let isolation_label = experiment.isolation.to_string();
@@ -358,13 +352,11 @@ impl Campaign {
                 let (record, run) =
                     finish_experiment(experiment, observation, &unit_results[lo..hi]);
                 experiment_span.label("outcome", &record.outcome);
-                (record, run, busy.elapsed())
+                (record, run, experiment_span.finish())
             });
-        validate_span.finish();
-        let validate_wall = validate_start.elapsed();
+        let validate_wall = validate_span.finish();
 
         // Aggregate.
-        let wall = campaign_start.elapsed();
         let cpu: Duration = observations.iter().map(|o| o.busy).sum::<Duration>()
             + unit_results.iter().map(|(_, d)| *d).sum::<Duration>()
             + experiment_results
@@ -416,10 +408,10 @@ impl Campaign {
             .filter(|o| o.source == TraceSource::Corpus)
             .map(|o| o.record_us)
             .sum();
-        let wall_us = wall.as_micros().max(1) as u64;
+        let root_id = campaign_span.id();
         let timing = CampaignTiming {
             workers: pool.workers(),
-            wall_us,
+            wall_us: campaign_span.finish().as_micros().max(1) as u64,
             cpu_us: cpu.as_micros() as u64,
             record_us: record_wall.as_micros() as u64,
             corpus_hits,
@@ -427,11 +419,7 @@ impl Campaign {
             record_saved_us,
             predict_us: predict_wall.as_micros() as u64,
             validate_us: validate_wall.as_micros() as u64,
-            units_per_sec: unit_tasks.len() as f64 / (wall_us as f64 / 1e6),
-            speedup_estimate: cpu.as_micros() as f64 / wall_us as f64,
         };
-        let root_id = campaign_span.id();
-        campaign_span.finish();
         let metrics = match (root_id, obs.snapshot()) {
             (Some(root), Some(snapshot)) => Some(MetricsSection::for_span(&snapshot, root)),
             _ => None,
@@ -445,109 +433,6 @@ impl Campaign {
             metrics,
             postmortems,
         }
-    }
-}
-
-/// Where an observed cell's trace came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TraceSource {
-    /// The record phase ran for this cell.
-    Recorded,
-    /// The trace was loaded from the corpus; the record phase was skipped.
-    Corpus,
-}
-
-impl TraceSource {
-    pub(crate) fn name(self) -> &'static str {
-        match self {
-            TraceSource::Recorded => "recorded",
-            TraceSource::Corpus => "corpus",
-        }
-    }
-}
-
-/// An observed cell resolved to its canonical analysis form.
-pub(crate) struct ObservedCell {
-    pub(crate) loaded: LoadedTrace,
-    pub(crate) source: TraceSource,
-    /// Content address, when a corpus was involved (`None` for corpus-less
-    /// recordings — callers needing one hash the canonical trace themselves,
-    /// so corpus-less experiment runners never pay for an unused digest).
-    pub(crate) trace_hash: Option<String>,
-    /// Recording cost paid (when recorded) or saved (when loaded).
-    pub(crate) record_us: u64,
-}
-
-impl ObservedCell {
-    /// The cell's content address, computing it from the canonical trace
-    /// bytes when no corpus supplied one.
-    pub(crate) fn hash(&self) -> String {
-        self.trace_hash
-            .clone()
-            .unwrap_or_else(|| sha256_hex(self.loaded.trace.to_canonical_json().as_bytes()))
-    }
-}
-
-/// Records an observed (serializable) execution of `benchmark`.
-#[must_use]
-pub fn record_observed(benchmark: Benchmark, config: &WorkloadConfig) -> RunOutput {
-    run(
-        benchmark,
-        config,
-        StoreMode::SerializableRecord,
-        &Schedule::RoundRobin,
-    )
-}
-
-/// Record-or-load for one (benchmark, config) cell. On a corpus miss the
-/// freshly recorded trace is persisted so the *next* run hits.
-///
-/// # Panics
-///
-/// Panics when the corpus rejects the cell (corrupt object, key conflict) —
-/// campaign runs treat corpus failures as fatal configuration errors rather
-/// than silently re-recording, so drift never goes unnoticed.
-pub(crate) fn observe_cell(
-    benchmark: Benchmark,
-    config: &WorkloadConfig,
-    corpus: Option<&Corpus>,
-) -> ObservedCell {
-    if let Some(corpus) = corpus {
-        let hit = corpus
-            .load_observed(benchmark.name(), config)
-            .unwrap_or_else(|error| {
-                panic!(
-                    "corpus entry for {} seed {}: {error}",
-                    benchmark, config.seed
-                )
-            });
-        if let Some((entry, loaded)) = hit {
-            return ObservedCell {
-                loaded,
-                source: TraceSource::Corpus,
-                trace_hash: Some(entry.hash),
-                record_us: entry.record_us,
-            };
-        }
-    }
-    let record_start = Instant::now();
-    let run = record_observed(benchmark, config);
-    let record_us = record_start.elapsed().as_micros() as u64;
-    let trace = run.trace();
-    let trace_hash = corpus.map(|corpus| {
-        corpus
-            .store(&trace, record_us)
-            .unwrap_or_else(|error| {
-                panic!("persisting {} seed {}: {error}", benchmark, config.seed)
-            })
-            .hash
-    });
-    let loaded = LoadedTrace::new(trace).expect("recorder traces are valid histories");
-    ObservedCell {
-        loaded,
-        source: TraceSource::Recorded,
-        trace_hash,
-        record_us,
     }
 }
 

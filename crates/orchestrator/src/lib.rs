@@ -24,8 +24,8 @@
 //!    count**.
 //! 3. **Aggregated reporting** ([`report`]): a serde-serializable
 //!    [`CampaignReport`] rolls up per-task outcomes, encoding statistics,
-//!    per-task run records, per-phase timing and the parallel speedup
-//!    estimate.
+//!    per-task run records and per-phase timing, each phase timed by its
+//!    telemetry span.
 //!
 //! A campaign is the one record → predict → validate pipeline: the paper's
 //! table binaries (`isopredict-bench`) run their matrices through it with
@@ -50,12 +50,6 @@
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
-#![allow(
-    clippy::disallowed_methods,
-    reason = "the orchestrator owns the non-deterministic report half (phase timings, \
-              worker-pool sizing); `merge`, `shard` and `report` compute the deterministic \
-              half and turn the check back on"
-)]
 
 pub mod campaign;
 pub mod merge;
@@ -63,7 +57,7 @@ pub mod report;
 pub mod shard;
 pub mod worker;
 
-pub use campaign::{record_observed, Campaign, CampaignOptions};
+pub use campaign::{Campaign, CampaignOptions};
 pub use merge::{embed, merge_outcomes, MergedOutcome};
 pub use report::{
     CampaignReport, CampaignSummary, CampaignTiming, DivergenceRecord, PostmortemRecord,

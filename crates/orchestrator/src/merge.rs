@@ -11,7 +11,7 @@
 //! * a shard that exhausted its solver budget makes the merged verdict
 //!   `Unknown` (unless another shard already found a prediction).
 
-#![warn(clippy::disallowed_methods, clippy::iter_over_hash_type)]
+#![warn(clippy::iter_over_hash_type)]
 
 use std::time::Duration;
 

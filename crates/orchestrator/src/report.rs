@@ -13,11 +13,10 @@
 //!   reproducibility contract, and what the determinism tests pin.
 //! * Everything else is the non-deterministic half: one [`TaskRun`] per task
 //!   (witness-level fields, replay divergences, per-task timings),
-//!   [`CampaignTiming`] (wall-clock measurements and the parallel speedup
-//!   estimate), the per-cell [`ProvenanceRecord`]s (the trace source depends
+//!   [`CampaignTiming`] (the phase spans' wall-clock times), the per-cell [`ProvenanceRecord`]s (the trace source depends
 //!   on what happens to be on disk), telemetry and post-mortems.
 
-#![warn(clippy::disallowed_methods, clippy::iter_over_hash_type)]
+#![warn(clippy::iter_over_hash_type)]
 
 use isopredict_obs::MetricsSection;
 use isopredict_smt::SolverPostmortem;
@@ -227,7 +226,9 @@ impl CampaignSummary {
     }
 }
 
-/// Wall-clock measurements of one campaign run.
+/// Wall-clock measurements of one campaign run, each read off the span that
+/// encloses the work (`campaign`, `record`, `predict`, `validate`, and the
+/// per-cell, per-unit and per-experiment spans for `cpu_us`).
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct CampaignTiming {
     /// Worker threads used.
@@ -235,7 +236,9 @@ pub struct CampaignTiming {
     /// Total wall-clock time of the campaign, in microseconds.
     pub wall_us: u64,
     /// Sum of per-task busy times across all phases, in microseconds (the
-    /// sequential-equivalent cost).
+    /// sequential-equivalent cost). When workers time-share scarce CPUs the
+    /// per-task times inflate, so compare `wall_us` against a 1-worker run
+    /// of the same campaign to measure speedup.
     pub cpu_us: u64,
     /// Wall-clock time of the record phase, in microseconds.
     pub record_us: u64,
@@ -251,15 +254,6 @@ pub struct CampaignTiming {
     pub predict_us: u64,
     /// Wall-clock time of the merge + validate phase, in microseconds.
     pub validate_us: u64,
-    /// Analysis units executed per wall-clock second.
-    pub units_per_sec: f64,
-    /// `cpu_us / wall_us` — an *upper bound* on the parallel speedup. Each
-    /// task's busy time is measured in wall-clock terms, so when workers
-    /// time-share scarce CPUs the per-task times inflate and this ratio
-    /// approaches the worker count regardless of real throughput; the honest
-    /// speedup measure is comparing `wall_us` against a 1-worker run of the
-    /// same campaign.
-    pub speedup_estimate: f64,
 }
 
 /// The full result of a campaign run.
@@ -395,7 +389,6 @@ mod tests {
         report.metrics = Some(MetricsSection {
             spans: vec![],
             counters: vec![],
-            gauges: vec![],
             attributed_wall_fraction: 0.99,
         });
         assert_eq!(first, report.deterministic_json());

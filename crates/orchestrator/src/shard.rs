@@ -16,7 +16,7 @@
 //! [`ShardPolicy::Auto`] therefore falls back to whole-history analysis
 //! above a dominance threshold ([`AUTO_DOMINANCE`]).
 
-#![warn(clippy::disallowed_methods, clippy::iter_over_hash_type)]
+#![warn(clippy::iter_over_hash_type)]
 
 use std::borrow::Cow;
 

@@ -1,8 +1,9 @@
 //! The observability layer's contracts on real campaigns: the span tree is a
 //! pure function of the campaign specification (not of worker scheduling),
 //! the JSONL event stream is schema-valid and round-trips through serde,
-//! enabling telemetry never perturbs the deterministic report half, and a
-//! long solve streams heartbeats at the solver's fixed interval.
+//! enabling telemetry never perturbs the deterministic report half, the
+//! report's phase timings are the phase spans' durations, and a long solve
+//! streams heartbeats at the solver's fixed interval.
 
 use std::sync::OnceLock;
 
@@ -76,7 +77,6 @@ fn campaign_jsonl_stream_is_valid_and_round_trips_through_serde() {
     let summary = validate_stream(&stream).expect("campaign emits a valid stream");
     assert_eq!(summary.spans_started, summary.spans_finished);
     assert!(summary.counter_updates > 0, "solver counters must stream");
-    assert!(summary.gauge_updates > 0, "workers gauge must stream");
 
     // Every line parses into a typed event and survives a serialize/parse
     // cycle unchanged — the schema has no lossy corners.
@@ -116,6 +116,35 @@ fn deterministic_half_is_byte_identical_with_metrics_on_and_off() {
 }
 
 #[test]
+fn phase_timings_are_the_phase_spans() {
+    let registry = Registry::new();
+    let report = tiny_campaign().run_observed(&options(2), &registry.obs());
+    let metrics = report.metrics.as_ref().expect("telemetry aggregates");
+    let span_us = |path: &str| metrics.span(path).expect(path).total_us;
+    let timing = &report.timing;
+    assert_eq!(timing.wall_us, span_us("campaign").max(1));
+    assert_eq!(timing.record_us, span_us("campaign/record"));
+    assert_eq!(timing.predict_us, span_us("campaign/predict"));
+    assert_eq!(timing.validate_us, span_us("campaign/validate"));
+    // Busy time is the cell, unit and experiment spans. It sums whole
+    // durations, while the span records truncate each one to microseconds.
+    let busy = metrics.spans.iter().filter(|span| {
+        matches!(
+            span.path.split('/').collect::<Vec<_>>()[..],
+            ["campaign", "record", "cell"]
+                | ["campaign", "predict", _]
+                | ["campaign", "validate", "experiment"]
+        )
+    });
+    let (busy_us, spans) = busy.fold((0, 0), |(us, n), span| (us + span.total_us, n + span.count));
+    assert!(
+        (busy_us..=busy_us + spans).contains(&timing.cpu_us),
+        "cpu {} vs {spans} spans' {busy_us}",
+        timing.cpu_us
+    );
+}
+
+#[test]
 fn heartbeats_stream_at_the_fixed_interval_and_survive_in_the_postmortem() {
     // Voter under causal at two transactions per session proves Unsat in
     // about 22,000 conflicts. A budget of 15,000, past the solver's fixed
@@ -136,8 +165,24 @@ fn heartbeats_stream_at_the_fixed_interval_and_survive_in_the_postmortem() {
     };
     let report = campaign.run_observed(&options, &registry.obs());
     registry.flush();
-    let summary = validate_stream(&sink.contents()).expect("campaign emits a valid stream");
+    let stream = sink.contents();
+    let summary = validate_stream(&stream).expect("campaign emits a valid stream");
     assert!(summary.heartbeats >= 1, "no heartbeat streamed");
+    // The first heartbeat's rate runs from the start of the solve.
+    let first_rate = stream
+        .lines()
+        .find_map(
+            |line| match serde_json::from_str(line).expect("typed event") {
+                ObsEvent::Heartbeat {
+                    hb_seq: 1,
+                    conflicts_per_sec,
+                    ..
+                } => Some(conflicts_per_sec),
+                _ => None,
+            },
+        )
+        .expect("a first heartbeat");
+    assert!(first_rate > 0.0, "first heartbeat rate {first_rate}");
     assert_eq!(
         report.summary.unknown, 1,
         "the budget must cut the proof short"

@@ -8,7 +8,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use isopredict_history::{History, HistoryBuilder, SessionId, Trace, TraceMeta, TxnId};
+use isopredict_history::{History, HistoryBuilder, SessionId, TxnId};
 
 use crate::chooser;
 use crate::isolation::{IsolationLevel, StoreMode};
@@ -52,9 +52,6 @@ struct Inner {
     commit_seq: u64,
     divergences: Vec<Divergence>,
     stats: RunStats,
-    /// Provenance to stamp on traces of this execution (see
-    /// [`Engine::stamp_provenance`]).
-    provenance: Option<TraceMeta>,
 }
 
 /// The transactional key–value store engine.
@@ -84,7 +81,6 @@ impl Engine {
                 commit_seq: 0,
                 divergences: Vec::new(),
                 stats: RunStats::default(),
-                provenance: None,
             }),
         }
     }
@@ -115,34 +111,11 @@ impl Engine {
         self.inner.lock().builder.clone().finish()
     }
 
-    /// Stamps provenance metadata on this execution. The recorder attaches it
-    /// to every [`Trace`] produced by [`Engine::trace`], so downstream corpus
-    /// indexes are populated from the trace itself instead of being
-    /// re-derived. Call once, before (or right after) running the workload.
-    pub fn stamp_provenance(&self, meta: TraceMeta) {
-        self.inner.lock().provenance = Some(meta);
-    }
-
-    /// The provenance stamped with [`Engine::stamp_provenance`], if any.
-    #[must_use]
-    pub fn provenance(&self) -> Option<TraceMeta> {
-        self.inner.lock().provenance.clone()
-    }
-
     /// A stable label for the mode this engine runs in (see
     /// [`StoreMode::label`]).
     #[must_use]
     pub fn mode_label(&self) -> String {
         self.inner.lock().mode.label()
-    }
-
-    /// The execution recorded so far as a serializable [`Trace`], carrying
-    /// any provenance stamped with [`Engine::stamp_provenance`].
-    #[must_use]
-    pub fn trace(&self) -> Trace {
-        let mut trace = Trace::from_history(&self.history());
-        trace.meta = self.provenance();
-        trace
     }
 
     /// Reads the latest committed value of `key` without going through a
@@ -269,12 +242,12 @@ impl Inner {
             .map(|v| v.writer)
             .unwrap_or(TxnId::INITIAL);
 
-        // Detach the mode from `self` so the arms below may borrow the rest
-        // of the engine state mutably; the chooser-driven arms additionally
-        // detach the open transaction's declared write set (the recording
-        // modes never consult it, so they skip the clone).
-        let mode = self.mode.clone();
-        match &mode {
+        // The mode stays borrowed only while its script is read: every arm
+        // copies what it needs out of it before touching the rest of the
+        // engine mutably. The chooser-driven arms detach the open
+        // transaction's declared write set (the recording modes never
+        // consult it, so they skip the clone).
+        match &self.mode {
             StoreMode::SerializableRecord | StoreMode::RealisticRc => latest,
             StoreMode::WeakRandom { level, .. } => {
                 let level = *level;
@@ -543,34 +516,6 @@ mod tests {
         assert_eq!(engine.stats().commits, 2);
         assert_eq!(engine.stats().reads, 2);
         assert_eq!(engine.stats().writes, 2);
-    }
-
-    #[test]
-    fn traces_carry_stamped_provenance() {
-        let engine = Engine::new(StoreMode::SerializableRecord);
-        assert_eq!(engine.mode_label(), "serializable-record");
-        assert!(engine.trace().meta.is_none());
-        engine.stamp_provenance(TraceMeta {
-            benchmark: "Smallbank".to_string(),
-            seed: 3,
-            sessions: 1,
-            txns_per_session: 1,
-            scale: 4,
-            isolation: engine.mode_label(),
-            store_version: crate::VERSION.to_string(),
-            committed_plan_indices: None,
-        });
-        let c = engine.client("c");
-        let mut t = c.begin();
-        t.put("x", 1);
-        t.commit();
-        let trace = engine.trace();
-        let meta = trace.meta.expect("provenance stamped");
-        assert_eq!(meta.benchmark, "Smallbank");
-        assert_eq!(meta.isolation, "serializable-record");
-        assert_eq!(meta.store_version, crate::VERSION);
-        assert_eq!(trace.sessions.len(), 1);
-        assert_eq!(trace.sessions[0].transactions.len(), 1);
     }
 
     #[test]

@@ -59,6 +59,6 @@ mod spec;
 
 pub use assertions::AssertionViolation;
 pub use config::{ParseWorkloadSizeError, WorkloadConfig, WorkloadSize};
-pub use runner::{run, RunOutput, Schedule};
+pub use runner::{record_observed, run, RunOutput, Schedule};
 pub use spec::{Benchmark, ParseBenchmarkError, PlannedTxn, TxnResult};
 pub use stats::WorkloadCharacteristics;

@@ -69,10 +69,11 @@ impl Schedule {
 pub struct RunOutput {
     /// The recorded execution history.
     pub history: History,
-    /// Provenance stamped on the execution at record time (benchmark, seed,
-    /// workload shape, store mode, recorder version). [`RunOutput::trace`]
-    /// attaches it, plus the committed plan indices, to the trace it builds.
-    pub provenance: Option<TraceMeta>,
+    /// The execution's provenance (benchmark, seed, workload shape, store
+    /// mode, recorder version). [`RunOutput::trace`] attaches it, plus the
+    /// committed plan indices, to the trace it builds, so corpus indexes are
+    /// populated from the trace itself.
+    pub provenance: TraceMeta,
     /// The transactions that committed, in execution order.
     pub committed: Vec<PlannedTxn>,
     /// The transactions that aborted, in execution order.
@@ -99,9 +100,9 @@ impl RunOutput {
     #[must_use]
     pub fn trace(&self) -> Trace {
         let mut trace = Trace::from_history(&self.history);
-        trace.meta = self.provenance.clone().map(|mut meta| {
-            meta.committed_plan_indices = Some(self.committed_indices.clone());
-            meta
+        trace.meta = Some(TraceMeta {
+            committed_plan_indices: Some(self.committed_indices.clone()),
+            ..self.provenance.clone()
         });
         trace
     }
@@ -120,6 +121,18 @@ pub fn run(
     run_on(&engine, benchmark, config, schedule)
 }
 
+/// Records an observed (serializable) execution of `benchmark`: the
+/// recording every analysis of a (benchmark, config) cell starts from.
+#[must_use]
+pub fn record_observed(benchmark: Benchmark, config: &WorkloadConfig) -> RunOutput {
+    run(
+        benchmark,
+        config,
+        StoreMode::SerializableRecord,
+        &Schedule::RoundRobin,
+    )
+}
+
 /// Runs `benchmark` against an existing engine (whose mode the caller chose).
 #[must_use]
 pub fn run_on(
@@ -129,10 +142,7 @@ pub fn run_on(
     schedule: &Schedule,
 ) -> RunOutput {
     benchmark.setup(engine, config);
-    // Stamp provenance before the workload runs, so traces of this execution
-    // identify themselves (the corpus index is populated from the trace, not
-    // re-derived from the caller's arguments).
-    engine.stamp_provenance(TraceMeta {
+    let provenance = TraceMeta {
         benchmark: benchmark.name().to_string(),
         seed: config.seed,
         sessions: config.sessions,
@@ -141,7 +151,7 @@ pub fn run_on(
         isolation: engine.mode_label(),
         store_version: isopredict_store::VERSION.to_string(),
         committed_plan_indices: None,
-    });
+    };
     let plans = benchmark.plan(config);
     let clients: Vec<_> = (0..config.sessions)
         .map(|s| engine.client(format!("session-{s}")))
@@ -166,7 +176,7 @@ pub fn run_on(
     let violations = benchmark.assertions(engine, config, &committed);
     RunOutput {
         history: engine.history(),
-        provenance: engine.provenance(),
+        provenance,
         committed,
         aborted,
         committed_indices,
