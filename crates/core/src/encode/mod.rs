@@ -462,6 +462,24 @@ pub(crate) mod test_support {
         b.finish()
     }
 
+    /// Three sessions of two transactions each over two keys, run serially:
+    /// transaction `i` reads both keys from their latest writers and writes
+    /// key `i mod 2`.
+    pub(crate) fn two_key_round_robin() -> History {
+        let mut b = HistoryBuilder::new();
+        let sessions: Vec<_> = (0..3).map(|s| b.session(format!("s{s}"))).collect();
+        let mut last = [TxnId::INITIAL; 2];
+        for i in 0..6 {
+            let t = b.begin(sessions[i % 3]);
+            b.read(t, "x", last[0]);
+            b.read(t, "y", last[1]);
+            b.write(t, ["x", "y"][i % 2]);
+            b.commit(t);
+            last[i % 2] = t;
+        }
+        b.finish()
+    }
+
     /// An observed Voter-like history: one writer, several read-only txns.
     pub(crate) fn single_writer_history() -> History {
         let mut b = HistoryBuilder::new();
@@ -548,6 +566,162 @@ mod tests {
         let mut encoder = Encoder::new(&history, BoundaryKind::Strict);
         encoder.encode_feasibility();
         assert_eq!(encoder.smt.check(), SmtResult::Sat);
+    }
+
+    /// FNV-1a (64-bit) accumulator for [`golden_encoding`].
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn u64(&mut self, x: u64) {
+            for b in x.to_le_bytes() {
+                self.0 ^= u64::from(b);
+                self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+
+    /// Hashes what the encode phase hands the SAT core: the variable count,
+    /// the problem clauses in order (literal order and family tag), the
+    /// top-level literals, the frozen variables, the registered order atoms,
+    /// the interned families and the encoding size.
+    fn encoding_digest(smt: &SmtSolver) -> u64 {
+        let sat = smt.sat_core();
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        h.u64(sat.num_vars() as u64);
+        h.u64(u64::from(sat.is_ok()));
+        for clause in sat.problem_clauses() {
+            h.u64(u64::from(clause.family()));
+            h.u64(clause.len() as u64);
+            for l in clause.literals() {
+                h.u64(l.code() as u64);
+            }
+        }
+        h.u64(u64::MAX);
+        for l in sat.top_level_literals() {
+            h.u64(l.code() as u64);
+        }
+        h.u64(u64::MAX);
+        for var in sat.frozen_vars() {
+            h.u64(var.index() as u64);
+        }
+        h.u64(u64::MAX);
+        for (var, left, right) in smt.order_atoms() {
+            h.u64(var.index() as u64);
+            h.u64(u64::from(left.id()));
+            h.u64(u64::from(right.id()));
+        }
+        h.u64(u64::MAX);
+        for family in smt.clause_families() {
+            for b in family.bytes() {
+                h.u64(u64::from(b));
+            }
+            h.u64(u64::MAX);
+        }
+        let stats = smt.stats();
+        for x in [stats.variables, stats.clauses, stats.literals, stats.terms] {
+            h.u64(x);
+        }
+        h.0
+    }
+
+    /// One digest per history × strategy × isolation level of the encoding
+    /// the predictor's encode phase builds. Any change in what reaches the
+    /// SAT core (clause or literal order, family tags, variables, frozen
+    /// variables, order atoms) changes a digest.
+    const GOLDEN_ENCODINGS: &[(&str, u64)] = &[
+        ("deposits/Exact-Strict/causal", 0xf477be29ba7ac8b5),
+        ("deposits/Exact-Strict/read committed", 0x57d96b78afc48334),
+        (
+            "deposits/Exact-Strict/snapshot isolation",
+            0x7e8b8c7e0552f7e2,
+        ),
+        ("deposits/Approx-Strict/causal", 0xe845007bd023d11c),
+        ("deposits/Approx-Strict/read committed", 0x9de7484283e9fe85),
+        (
+            "deposits/Approx-Strict/snapshot isolation",
+            0xc41643bf1022787b,
+        ),
+        ("deposits/Approx-Relaxed/causal", 0x26d63fce2298a9b3),
+        ("deposits/Approx-Relaxed/read committed", 0x4445d11ab4546fd2),
+        (
+            "deposits/Approx-Relaxed/snapshot isolation",
+            0xc8eb7f77d94dafc1,
+        ),
+        ("single-writer/Exact-Strict/causal", 0x69ace662f7c0bff9),
+        (
+            "single-writer/Exact-Strict/read committed",
+            0x6145bb18d2c68959,
+        ),
+        (
+            "single-writer/Exact-Strict/snapshot isolation",
+            0xb63832ccacd650e4,
+        ),
+        ("single-writer/Approx-Strict/causal", 0xe89ffa45caf6a376),
+        (
+            "single-writer/Approx-Strict/read committed",
+            0x8182151d07c01f25,
+        ),
+        (
+            "single-writer/Approx-Strict/snapshot isolation",
+            0x37c4c8f35b6f0637,
+        ),
+        ("single-writer/Approx-Relaxed/causal", 0xf8094ffa9d1fde29),
+        (
+            "single-writer/Approx-Relaxed/read committed",
+            0xe73273a1a6bb8033,
+        ),
+        (
+            "single-writer/Approx-Relaxed/snapshot isolation",
+            0x66a3a2fc01a96084,
+        ),
+        ("two-key/Exact-Strict/causal", 0x2636c65e6aa7bd09),
+        ("two-key/Exact-Strict/read committed", 0x95b9014e05100361),
+        (
+            "two-key/Exact-Strict/snapshot isolation",
+            0xd51fb530862fe6cf,
+        ),
+        ("two-key/Approx-Strict/causal", 0x0cff24c8db11e125),
+        ("two-key/Approx-Strict/read committed", 0x9a16d4f0e9ee3ec8),
+        (
+            "two-key/Approx-Strict/snapshot isolation",
+            0xffe48303c958ba73,
+        ),
+        ("two-key/Approx-Relaxed/causal", 0x3b9812eae3650fe6),
+        ("two-key/Approx-Relaxed/read committed", 0xef25b285b6373cac),
+        (
+            "two-key/Approx-Relaxed/snapshot isolation",
+            0xcf5837b0893600f6,
+        ),
+    ];
+
+    #[test]
+    fn golden_encoding() {
+        let histories = [
+            ("deposits", deposit_withdraw_deposit()),
+            ("single-writer", single_writer_history()),
+            ("two-key", two_key_round_robin()),
+        ];
+        let mut actual: Vec<(String, u64)> = Vec::new();
+        for (name, history) in &histories {
+            for strategy in Strategy::all() {
+                for isolation in IsolationLevel::ALL {
+                    let encoder = encoded(history, strategy, isolation);
+                    actual.push((
+                        format!("{name}/{strategy}/{isolation}"),
+                        encoding_digest(&encoder.smt),
+                    ));
+                }
+            }
+        }
+        let table: String = actual
+            .iter()
+            .map(|(name, digest)| format!("        (\"{name}\", {digest:#018x}),\n"))
+            .collect();
+        let expected: Vec<(String, u64)> = GOLDEN_ENCODINGS
+            .iter()
+            .map(|&(name, digest)| (name.to_string(), digest))
+            .collect();
+        assert_eq!(actual, expected, "encoding changed; digests now:\n{table}");
     }
 
     #[test]

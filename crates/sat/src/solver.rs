@@ -511,6 +511,31 @@ impl Solver {
         self.ok
     }
 
+    /// The live problem clauses, in the order they were stored.
+    pub fn problem_clauses(&self) -> impl Iterator<Item = &Clause> {
+        self.db.clauses.iter().filter(|c| !c.learnt && !c.deleted)
+    }
+
+    /// The literals assigned at the top level, in assignment order (between
+    /// searches the whole trail is top level).
+    #[must_use]
+    pub fn top_level_literals(&self) -> &[Lit] {
+        let end = self
+            .assignment
+            .trail_lim
+            .first()
+            .copied()
+            .unwrap_or(self.assignment.trail.len());
+        &self.assignment.trail[..end]
+    }
+
+    /// The frozen variables (see [`Solver::freeze_var`]), in index order.
+    pub fn frozen_vars(&self) -> impl Iterator<Item = Var> + '_ {
+        (0..self.num_vars() as u32)
+            .map(Var::from_index)
+            .filter(|var| self.frozen[var.index()])
+    }
+
     // ------------------------------------------------------------------
     // Flight recorder (see crate::flight)
     // ------------------------------------------------------------------

@@ -143,6 +143,18 @@ impl OrderTheory {
         self.ord.len() as u32
     }
 
+    /// The registered atoms `(var, from, to)`, by variable.
+    pub(crate) fn atoms(&self) -> impl Iterator<Item = (Var, OrderNode, OrderNode)> + '_ {
+        self.atoms.iter().enumerate().filter_map(|(index, atom)| {
+            let atom = atom.as_ref()?;
+            Some((
+                Var::from_index(index as u32),
+                OrderNode { id: atom.from },
+                OrderNode { id: atom.to },
+            ))
+        })
+    }
+
     pub(crate) fn stats(&self) -> TheoryStats {
         self.stats
     }

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use isopredict_sat::{
     FamilyAttribution, HeartbeatHook, Lit, PreprocessSummary, SolveOutcome, Solver as SatSolver,
-    SolverPostmortem,
+    SolverPostmortem, Var,
 };
 
 use crate::fd::FdVar;
@@ -418,6 +418,18 @@ impl SmtSolver {
             literals: sat_stats.literals,
             terms: self.pool.len() as u64,
         }
+    }
+
+    /// The SAT core the asserted formulas are encoded into.
+    #[must_use]
+    pub fn sat_core(&self) -> &SatSolver {
+        &self.sat
+    }
+
+    /// The registered order atoms as `(SAT variable, left, right)`, by
+    /// variable.
+    pub fn order_atoms(&self) -> impl Iterator<Item = (Var, OrderNode, OrderNode)> + '_ {
+        self.theory.atoms()
     }
 
     /// Every work counter of the SAT core and the order theory under its
