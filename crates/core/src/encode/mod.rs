@@ -42,7 +42,7 @@ pub(crate) mod unserializability;
 use std::collections::{BTreeMap, HashMap};
 
 use isopredict_history::{History, KeyId, SessionId, TxnId};
-use isopredict_smt::{FdVar, OrderNode, SmtSolver, TermId};
+use isopredict_smt::{FdVar, FxBuildHasher, OrderNode, SmtSolver, TermId};
 
 use crate::config::BoundaryKind;
 
@@ -93,11 +93,11 @@ pub(crate) struct Encoder<'h> {
     pub(crate) boundary: BTreeMap<SessionId, BoundaryVar>,
     pub(crate) hb: BTreeMap<(TxnId, TxnId), TermId>,
     /// Memoized `φ_wr_k(t1, t2)` formulas.
-    wr_k_cache: HashMap<(TxnId, TxnId, KeyId), TermId>,
+    wr_k_cache: HashMap<(TxnId, TxnId, KeyId), TermId, FxBuildHasher>,
     /// Memoized `φ_wr(t1, t2)` formulas.
-    wr_cache: HashMap<(TxnId, TxnId), TermId>,
+    wr_cache: HashMap<(TxnId, TxnId), TermId, FxBuildHasher>,
     /// Commit-order nodes (`φ_co(t)`), created on demand per isolation level.
-    co_nodes: HashMap<TxnId, OrderNode>,
+    co_nodes: HashMap<TxnId, OrderNode, FxBuildHasher>,
 }
 
 /// The transactions that participate in the analysis: `t0` plus every
@@ -219,9 +219,9 @@ impl<'h> Encoder<'h> {
             choice,
             boundary,
             hb,
-            wr_k_cache: HashMap::new(),
-            wr_cache: HashMap::new(),
-            co_nodes: HashMap::new(),
+            wr_k_cache: HashMap::default(),
+            wr_cache: HashMap::default(),
+            co_nodes: HashMap::default(),
         }
     }
 

@@ -15,7 +15,7 @@
 
 use std::collections::BTreeMap;
 
-use isopredict_history::TxnId;
+use isopredict_history::{KeyId, TxnId};
 use isopredict_smt::{OrderNode, TermId};
 
 use super::Encoder;
@@ -53,7 +53,18 @@ impl Encoder<'_> {
             }
         }
 
-        let keys: Vec<_> = self.history.keys().collect();
+        // Each key's writers and readers, computed once for the loops below.
+        let per_key: Vec<(KeyId, Vec<TxnId>, Vec<TxnId>)> = self
+            .history
+            .keys()
+            .map(|key| {
+                (
+                    key,
+                    self.history.writers_of(key),
+                    self.history.readers_of(key),
+                )
+            })
+            .collect();
 
         // ww(t1, t2) ⇒ ⋁_{k, t3} wr_k(t2, t3) ∧ pco(t1, t3) ∧ rank(t1,t2) > rank(t1,t3)
         //                         ∧ wrpos_k(t1) < boundary(s1)
@@ -63,12 +74,12 @@ impl Encoder<'_> {
                     continue;
                 }
                 let mut justifications = Vec::new();
-                for &key in &keys {
-                    let writers = self.history.writers_of(key);
+                for (key, writers, readers) in &per_key {
+                    let key = *key;
                     if !writers.contains(&t1) || !writers.contains(&t2) {
                         continue;
                     }
-                    for &t3 in &self.history.readers_of(key) {
+                    for &t3 in readers {
                         if t3 == t1 || t3 == t2 {
                             continue;
                         }
@@ -93,16 +104,12 @@ impl Encoder<'_> {
                     continue;
                 }
                 let mut justifications = Vec::new();
-                for &key in &keys {
-                    let writers = self.history.writers_of(key);
-                    if !writers.contains(&t2) {
+                for (key, writers, readers) in &per_key {
+                    let key = *key;
+                    if !writers.contains(&t2) || !readers.contains(&t1) {
                         continue;
                     }
-                    let readers = self.history.readers_of(key);
-                    if !readers.contains(&t1) {
-                        continue;
-                    }
-                    for &t3 in &writers {
+                    for &t3 in writers {
                         if t3 == t1 || t3 == t2 {
                             continue;
                         }

@@ -183,7 +183,6 @@ impl Predictor {
             constraint_gen_time,
         } = encoding;
         encoder.smt.set_conflict_budget(self.config.conflict_budget);
-        install_heartbeat_bridge(&mut encoder.smt, obs);
 
         let refines = self.config.strategy.is_exact();
         let mut solving_time = Duration::ZERO;
@@ -200,6 +199,7 @@ impl Predictor {
                 encoder.smt.preprocess();
                 pp_span.finish();
             }
+            install_heartbeat_bridge(&mut encoder.smt, obs);
             let result = encoder.smt.check();
             solve_span.label("result", smt_result_label(result));
             let (predicted, boundaries, changed_reads) = match result {
@@ -334,9 +334,10 @@ struct AxiomFamilies {
 /// count-only heartbeats (one every 10,000 conflicts, the SAT core's
 /// interval) into obs events. The bridge — not the solver — owns the rate
 /// clock, so the SAT core stays deterministic and obs-free: it reports
-/// counts, and the rate is computed here from the time between samples. The
-/// solver is fresh per analysis, so the first sample's rate runs from the
-/// install, at zero conflicts.
+/// counts, and the rate is computed here from the time between samples.
+/// It is installed afresh right before each search, after preprocessing,
+/// so the first sample's rate runs from the start of that search and its
+/// conflict count.
 #[expect(
     clippy::disallowed_methods,
     reason = "heartbeat rates are stream-only telemetry (the non-deterministic half); \
@@ -348,7 +349,7 @@ fn install_heartbeat_bridge(smt: &mut SmtSolver, obs: &Obs) {
     }
     let obs = obs.clone();
     let families: Vec<String> = smt.clause_families().to_vec();
-    let mut last = (Instant::now(), 0u64);
+    let mut last = (Instant::now(), smt.attribution().total_conflicts());
     smt.set_heartbeat_hook(Some(Box::new(move |hb: &Heartbeat| {
         let now = Instant::now();
         let dt = now.duration_since(last.0).as_secs_f64();

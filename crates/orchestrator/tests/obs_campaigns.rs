@@ -168,7 +168,8 @@ fn heartbeats_stream_at_the_fixed_interval_and_survive_in_the_postmortem() {
     let stream = sink.contents();
     let summary = validate_stream(&stream).expect("campaign emits a valid stream");
     assert!(summary.heartbeats >= 1, "no heartbeat streamed");
-    // The first heartbeat's rate runs from the start of the solve.
+    // The first heartbeat's rate runs from the start of the search, after
+    // preprocessing.
     let first_rate = stream
         .lines()
         .find_map(

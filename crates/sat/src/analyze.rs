@@ -62,13 +62,8 @@ impl Solver {
             // Provenance: the conflict's derivation involves every clause
             // resolved on (see crate::flight).
             self.analysis_mask |= self.db.get(reason).mask;
-            let reason_lits = self.db.get(reason).lits.clone();
             pending.clear();
-            for l in reason_lits {
-                if l != next {
-                    pending.push(l);
-                }
-            }
+            pending.extend(self.db.get(reason).lits.iter().filter(|&&l| l != next));
         };
 
         learnt[0] = uip.negate();
@@ -118,23 +113,24 @@ impl Solver {
     /// Removes literals that are implied by the rest of the clause (simple
     /// self-subsumption: a literal is redundant if every literal of its reason
     /// clause is already in the learnt clause or at level 0).
-    fn minimize_learnt(&mut self, learnt: &mut Vec<Lit>) {
-        let original = learnt.clone();
-        let in_clause: Vec<Lit> = original.clone();
+    ///
+    /// After the first-UIP walk `seen` marks exactly the variables of the
+    /// learnt clause's lower-level literals. A reason's other literals are
+    /// false and assigned below the current level, so `seen` tells whether
+    /// one of them is in the learnt clause.
+    fn minimize_learnt(&self, learnt: &mut Vec<Lit>) {
+        let asserting = learnt[0];
         learnt.retain(|&lit| {
-            if lit == original[0] {
+            if lit == asserting {
                 return true; // never drop the asserting literal
             }
             match self.reasons[lit.var().index()] {
                 None => true,
-                Some(reason) => {
-                    let reason_lits = &self.db.get(reason).lits;
-                    !reason_lits.iter().all(|&rl| {
-                        rl == lit.negate()
-                            || self.assignment.level(rl.var()) == 0
-                            || in_clause.contains(&rl)
-                    })
-                }
+                Some(reason) => !self.db.get(reason).lits.iter().all(|&rl| {
+                    rl == lit.negate()
+                        || self.assignment.level(rl.var()) == 0
+                        || self.seen[rl.var().index()]
+                }),
             }
         });
     }

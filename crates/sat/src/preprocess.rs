@@ -263,6 +263,12 @@ fn big_sccs(num_vars: usize, binary: &[[Lit; 2]]) -> Vec<Vec<Lit>> {
                     low[parent as usize] = low[parent as usize].min(low[node as usize]);
                 }
                 if low[node as usize] == index[node as usize] {
+                    if stack.last() == Some(&node) {
+                        // A component of one literal: nothing to report.
+                        stack.pop();
+                        on_stack[node as usize] = false;
+                        continue;
+                    }
                     let mut scc = Vec::new();
                     loop {
                         let member = stack.pop().expect("SCC stack underflow");
@@ -272,10 +278,8 @@ fn big_sccs(num_vars: usize, binary: &[[Lit; 2]]) -> Vec<Vec<Lit>> {
                             break;
                         }
                     }
-                    if scc.len() >= 2 {
-                        scc.sort_unstable();
-                        sccs.push(scc);
-                    }
+                    scc.sort_unstable();
+                    sccs.push(scc);
                 }
             }
         }
@@ -652,7 +656,7 @@ struct Simplifier {
     probes_used: usize,
     /// Watch-list entries visited by probing (`SolverStats::pp_probe_visits`).
     probe_visits: u64,
-    /// Candidate clauses scanned by subsumption and strengthening, i.e.
+    /// Candidate clauses scanned by the backward subsumption check, i.e.
     /// past the size and signature filters (`SolverStats::pp_subsume_checks`).
     subsume_checks: u64,
     /// Clause pairs examined by BVE's count step (`SolverStats::pp_bve_pairs`).
@@ -933,18 +937,30 @@ impl Simplifier {
         }
     }
 
-    /// Subsumption and self-subsuming resolution.
-    ///
-    /// C's literals are stamped into a per-literal mark array, so each
-    /// candidate D is decided by one scan of D: clauses hold no duplicate
-    /// literals, hence `C ⊆ D` iff D has `|C|` marked literals. The pass
-    /// only removes or shortens clauses and never adds to `occ`, so each
+    /// Subsumption and self-subsuming resolution, as one backward check per
+    /// clause (SatELite's): every clause D that C subsumes or strengthens
+    /// mentions C's variable `v` with the fewest occurrences, so only
+    /// `occ(v) ∪ occ(¬v)` is scanned. C's literals are stamped into a
+    /// per-literal mark array, and one scan of D counts its literals in C
+    /// and its literals negated in C: clauses hold no duplicate or
+    /// complementary literals, so `C ⊆ D` iff all `|C|` are in D, and the
+    /// resolvent of C and D on `l` subsumes D (so `¬l` can be removed from
+    /// D) iff `|C| - 1` are in D and `¬l` is the one negated. The pass only
+    /// removes or shortens clauses and never adds to `occ`, so each
     /// occurrence list is moved out for its scan and put back unchanged.
+    ///
+    /// Strengthening D yields a unit only if C and D are both binary, and
+    /// then the unit is the literal of C other than `l`; the units are
+    /// queued in the order of C's literals, as a scan per literal of C
+    /// would find them.
     fn subsumption_pass(&mut self) -> bool {
         let mut changed = false;
         let mut mark = vec![0u32; 2 * self.num_vars];
         let mut epoch = 0u32;
         let mut c: Vec<Lit> = Vec::new();
+        // Units from strengthening, by the position in C of the literal
+        // they were strengthened on.
+        let mut units: Vec<(usize, Lit)> = Vec::new();
         for ci in 0..self.clauses.len() {
             if self.unsat {
                 return changed;
@@ -959,41 +975,13 @@ impl Simplifier {
                 mark[l.code()] = epoch;
             }
             let c_sig = self.sigs[ci];
-            // Scan the occurrence list of the least-frequent literal of C.
             let best = c
                 .iter()
                 .copied()
-                .min_by_key(|l| self.occ[l.code()].len())
+                .min_by_key(|l| self.occ[l.code()].len() + self.occ[l.negate().code()].len())
                 .expect("live clauses are non-empty");
-            let candidates = std::mem::take(&mut self.occ[best.code()]);
-            for &dj in &candidates {
-                let dj = dj as usize;
-                if dj == ci || c_sig & !self.sigs[dj] != 0 {
-                    continue;
-                }
-                let Some(d) = &self.clauses[dj] else {
-                    continue;
-                };
-                if d.len() < c.len() {
-                    continue;
-                }
-                self.subsume_checks += 1;
-                if d.iter().filter(|l| mark[l.code()] == epoch).count() == c.len() {
-                    self.remove_clause(dj);
-                    self.summary.subsumed += 1;
-                    changed = true;
-                }
-            }
-            self.occ[best.code()] = candidates;
-            // Self-subsuming resolution: if C \ {l} ⊆ D and ¬l ∈ D then the
-            // resolvent of C and D on l subsumes D, so ¬l can be removed
-            // from D.
-            for &l in &c {
-                if self.clauses[ci].is_none() {
-                    break; // C itself got strengthened away meanwhile
-                }
-                let neg = l.negate();
-                let candidates = std::mem::take(&mut self.occ[neg.code()]);
+            for scanned in [best, best.negate()] {
+                let candidates = std::mem::take(&mut self.occ[scanned.code()]);
                 for &dj in &candidates {
                     let dj = dj as usize;
                     if dj == ci || c_sig & !self.sigs[dj] != 0 {
@@ -1006,33 +994,54 @@ impl Simplifier {
                         continue;
                     }
                     self.subsume_checks += 1;
-                    let mut has_neg = false;
                     let mut shared = 0;
+                    let mut negated = None;
                     for &m in d {
-                        if m == neg {
-                            has_neg = true;
-                        } else if m != l && mark[m.code()] == epoch {
+                        if mark[m.code()] == epoch {
                             shared += 1;
+                        } else if mark[m.negate().code()] == epoch {
+                            if negated.is_some() {
+                                negated = None;
+                                shared = 0;
+                                break;
+                            }
+                            negated = Some(m);
                         }
                     }
-                    if !has_neg || shared + 1 != c.len() {
-                        continue;
-                    }
-                    let lits = self.clauses[dj].as_mut().expect("validated live");
-                    lits.retain(|&m| m != neg);
-                    self.sigs[dj] = Self::sig_of(lits);
-                    // The strengthened D is the resolvent of C and D, so its
-                    // provenance now also involves C's families.
-                    self.meta[dj].1 |= self.meta[ci].1;
-                    self.summary.strengthened += 1;
-                    changed = true;
-                    if lits.len() == 1 {
-                        let unit = lits[0];
-                        self.remove_clause(dj);
-                        self.enqueue_fix(unit);
+                    match negated {
+                        None if shared == c.len() => {
+                            self.remove_clause(dj);
+                            self.summary.subsumed += 1;
+                            changed = true;
+                        }
+                        Some(neg) if shared + 1 == c.len() => {
+                            let lits = self.clauses[dj].as_mut().expect("validated live");
+                            lits.retain(|&m| m != neg);
+                            self.sigs[dj] = Self::sig_of(lits);
+                            // The strengthened D is the resolvent of C and D,
+                            // so its provenance now also involves C's
+                            // families.
+                            self.meta[dj].1 |= self.meta[ci].1;
+                            self.summary.strengthened += 1;
+                            changed = true;
+                            if lits.len() == 1 {
+                                let unit = lits[0];
+                                self.remove_clause(dj);
+                                let at = c
+                                    .iter()
+                                    .position(|&l| l == neg.negate())
+                                    .expect("the negated literal is in C");
+                                units.push((at, unit));
+                            }
+                        }
+                        _ => {}
                     }
                 }
-                self.occ[neg.code()] = candidates;
+                self.occ[scanned.code()] = candidates;
+            }
+            units.sort_by_key(|&(at, _)| at);
+            for (_, unit) in units.drain(..) {
+                self.enqueue_fix(unit);
             }
         }
         changed

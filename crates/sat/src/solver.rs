@@ -277,37 +277,35 @@ impl Solver {
         lits.sort_unstable();
         lits.dedup();
 
-        // Remove literals that are already false at the top level; detect
-        // tautologies and clauses that are already satisfied.
-        let mut simplified = Vec::with_capacity(lits.len());
-        for (i, &lit) in lits.iter().enumerate() {
-            if i + 1 < lits.len() && lits[i + 1] == lit.negate() {
-                return true; // tautology: p ∨ ¬p
-            }
-            match self.assignment.value_lit(lit) {
-                LBool::True => return true, // already satisfied at level 0
-                LBool::False => continue,   // drop top-level-false literal
-                LBool::Undef => simplified.push(lit),
-            }
+        // A tautology (`p ∨ ¬p`, adjacent once sorted) or a clause already
+        // satisfied at level 0 adds nothing; literals already false at level
+        // 0 are dropped in place.
+        if lits.windows(2).any(|w| w[1] == w[0].negate())
+            || lits
+                .iter()
+                .any(|&lit| self.assignment.value_lit(lit) == LBool::True)
+        {
+            return true;
         }
+        lits.retain(|&lit| self.assignment.value_lit(lit) == LBool::Undef);
 
         if count_stats {
             self.stats.clauses += 1;
-            self.stats.literals += simplified.len() as u64;
+            self.stats.literals += lits.len() as u64;
             self.attribution.clauses_by_family[usize::from(family)] += 1;
         }
 
-        match simplified.len() {
+        match lits.len() {
             0 => {
                 self.ok = false;
                 false
             }
             1 => {
-                self.enqueue(simplified[0], None);
+                self.enqueue(lits[0], None);
                 true
             }
             _ => {
-                let mut clause = Clause::new(simplified, false);
+                let mut clause = Clause::new(lits, false);
                 clause.family = family;
                 clause.mask = mask;
                 let cref = self.db.push(clause);

@@ -45,8 +45,10 @@ pub struct SolverStats {
     /// Watch-list entries visited by failed-literal probing
     /// (`pp.probe_visits`).
     pub pp_probe_visits: u64,
-    /// Candidate clauses scanned by subsumption and self-subsuming
-    /// resolution once past the size and signature filters
+    /// Candidate clauses scanned by the backward subsumption check (which
+    /// decides subsumption and self-subsuming resolution together) once
+    /// past the size and signature filters: for each clause, the entries of
+    /// the occurrence lists of its rarest variable, both polarities
     /// (`pp.subsume_checks`).
     pub pp_subsume_checks: u64,
     /// Clause pairs examined by the count step of bounded variable

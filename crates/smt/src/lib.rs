@@ -18,6 +18,16 @@
 //! finite-domain variables ([`FdVar`]), and order atoms over [`OrderNode`]s
 //! backed by an incremental cycle-detection theory.
 //!
+//! # Terms and literals
+//!
+//! Terms live in one arena and are hash-consed: each term is stored once,
+//! and an open-addressing table of term ids, probed with the Fx hash
+//! ([`FxHasher`]), finds the stored copy when the same term is built again.
+//! A term's SAT literal sits in a dense vector indexed by its [`TermId`], so
+//! looking it up hashes nothing. Tseitin conversion reads a conjunction's or
+//! disjunction's children in place and builds its definition clauses from
+//! one buffer of child literals.
+//!
 //! # The order theory
 //!
 //! Each true `x < y` atom is an edge `x → y` of a graph the theory keeps
@@ -71,6 +81,7 @@
 #![warn(clippy::iter_over_hash_type)]
 
 mod fd;
+mod fx;
 mod order;
 mod solver;
 mod stats;
@@ -78,6 +89,7 @@ mod term;
 mod tseitin;
 
 pub use fd::FdVar;
+pub use fx::{FxBuildHasher, FxHasher};
 pub use isopredict_sat::{
     busiest_family, FamilyAttribution, Heartbeat, HeartbeatHook, SolverPostmortem, SolverStats,
 };

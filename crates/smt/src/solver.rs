@@ -1,7 +1,5 @@
 //! The public SMT solver façade.
 
-use std::collections::HashMap;
-
 use isopredict_sat::{
     FamilyAttribution, HeartbeatHook, Lit, PreprocessSummary, SolveOutcome, Solver as SatSolver,
     SolverPostmortem, Var,
@@ -32,7 +30,8 @@ pub struct SmtSolver {
     pub(crate) pool: TermPool,
     pub(crate) sat: SatSolver,
     pub(crate) theory: OrderTheory,
-    pub(crate) lit_of: HashMap<TermId, Lit>,
+    /// `lit_of[term.index()]` is the SAT literal of `term`, once it has one.
+    pub(crate) lit_of: Vec<Option<Lit>>,
     /// The domain size of each finite-domain variable (index = id).
     fd_domain_sizes: Vec<usize>,
     bool_var_count: u32,
@@ -63,7 +62,7 @@ impl SmtSolver {
             pool: TermPool::new(),
             sat: SatSolver::new(),
             theory: OrderTheory::new(),
-            lit_of: HashMap::new(),
+            lit_of: Vec::new(),
             fd_domain_sizes: Vec::new(),
             bool_var_count: 0,
             true_lit: None,
@@ -119,6 +118,19 @@ impl SmtSolver {
         self.sat.postmortem()
     }
 
+    /// The SAT literal of `term`, if it has one yet.
+    pub(crate) fn lit(&self, term: TermId) -> Option<Lit> {
+        self.lit_of.get(term.index()).copied().flatten()
+    }
+
+    /// Records `lit` as the SAT literal of `term`.
+    pub(crate) fn set_lit(&mut self, term: TermId, lit: Lit) {
+        if self.lit_of.len() <= term.index() {
+            self.lit_of.resize(term.index() + 1, None);
+        }
+        self.lit_of[term.index()] = Some(lit);
+    }
+
     /// The literal that is constrained to be true (lazily created).
     pub(crate) fn true_lit(&mut self) -> Lit {
         if let Some(lit) = self.true_lit {
@@ -150,7 +162,7 @@ impl SmtSolver {
         self.bool_var_count += 1;
         let term = self.pool.intern(Term::BoolVar(id));
         let lit = Lit::positive(self.sat.new_var());
-        self.lit_of.insert(term, lit);
+        self.set_lit(term, lit);
         term
     }
 
@@ -176,7 +188,7 @@ impl SmtSolver {
             .map(|value| {
                 let term = self.pool.intern(Term::FdEq(var, value as u32));
                 let lit = Lit::positive(self.sat.new_var());
-                self.lit_of.insert(term, lit);
+                self.set_lit(term, lit);
                 lit
             })
             .collect();
@@ -241,14 +253,14 @@ impl SmtSolver {
     /// The atom `left < right` in the strict-order theory.
     pub fn less(&mut self, left: OrderNode, right: OrderNode) -> TermId {
         let term = self.pool.intern(Term::Less(left, right));
-        if !self.lit_of.contains_key(&term) {
+        if self.lit(term).is_none() {
             let var = self.sat.new_var();
             // Theory atoms carry semantics the clause-level preprocessor
             // cannot see (two distinct atoms are never interchangeable even
             // if propositionally equivalent), so they must never be
             // eliminated or substituted away.
             self.sat.freeze_var(var);
-            self.lit_of.insert(term, Lit::positive(var));
+            self.set_lit(term, Lit::positive(var));
             self.theory.register_atom(var, left, right);
         }
         term
@@ -360,8 +372,8 @@ impl SmtSolver {
     #[must_use]
     pub fn model_bool(&self, term: TermId) -> Option<bool> {
         let model = self.sat.model()?;
-        let lit = self.lit_of.get(&term)?;
-        Some(model.lit_value(*lit))
+        let lit = self.lit(term)?;
+        Some(model.lit_value(lit))
     }
 
     /// Value (domain index) of a finite-domain variable in the current model.
@@ -370,12 +382,10 @@ impl SmtSolver {
         let model = self.sat.model()?;
         let domain_size = *self.fd_domain_sizes.get(var.id as usize)?;
         for value in 0..domain_size {
-            let term = Term::FdEq(var, value as u32);
-            if let Some(&id) = self.lookup_interned(&term) {
-                if let Some(&lit) = self.lit_of.get(&id) {
-                    if model.lit_value(lit) {
-                        return Some(value);
-                    }
+            let term = self.pool.find(&Term::FdEq(var, value as u32));
+            if let Some(lit) = term.and_then(|term| self.lit(term)) {
+                if model.lit_value(lit) {
+                    return Some(value);
                 }
             }
         }
@@ -390,19 +400,16 @@ impl SmtSolver {
     pub fn model_order_positions(&self) -> Option<Vec<usize>> {
         let model = self.sat.model()?;
         let mut edges = Vec::new();
-        #[expect(
-            clippy::iter_over_hash_type,
-            reason = "the edges are sorted below, so the HashMap order cannot leak into the result"
-        )]
-        for (term, lit) in &self.lit_of {
-            if let Term::Less(a, b) = self.pool.get(*term) {
-                if model.lit_value(*lit) {
+        for (index, lit) in self.lit_of.iter().enumerate() {
+            let Some(lit) = *lit else { continue };
+            if let Term::Less(a, b) = self.pool.get(TermId(index as u32)) {
+                if model.lit_value(lit) {
                     edges.push((a.id(), b.id()));
                 }
             }
         }
         // Kahn's algorithm tie-breaks by edge insertion order; sort so the
-        // positions are a deterministic function of the model.
+        // positions depend on the set of true atoms alone.
         edges.sort_unstable();
         edges.dedup();
         topological_positions(self.theory.num_nodes(), &edges)
@@ -442,13 +449,6 @@ impl SmtSolver {
         let mut counters = self.sat.stats().work_counters();
         counters.extend(self.theory.stats().work_counters());
         counters
-    }
-
-    fn lookup_interned(&self, term: &Term) -> Option<&TermId> {
-        // TermPool interns by value; re-intern without mutation by looking up
-        // through the public map on lit_of keys is not possible, so search the
-        // pool's index directly.
-        self.pool.index_of(term)
     }
 }
 

@@ -9,11 +9,10 @@ impl SmtSolver {
     /// Returns the SAT literal representing `term`, generating Tseitin
     /// definition clauses on first use.
     pub(crate) fn encode_term(&mut self, term: TermId) -> Lit {
-        if let Some(&lit) = self.lit_of.get(&term) {
+        if let Some(lit) = self.lit(term) {
             return lit;
         }
-        let node = self.pool.get(term).clone();
-        let lit = match node {
+        let lit = match *self.pool.get(term) {
             Term::True => self.true_lit(),
             Term::False => self.true_lit().negate(),
             Term::BoolVar(_) | Term::FdEq(_, _) | Term::Less(_, _) => {
@@ -22,35 +21,48 @@ impl SmtSolver {
                 unreachable!("atom without a SAT literal")
             }
             Term::Not(inner) => self.encode_term(inner).negate(),
-            Term::And(children) => {
-                let child_lits: Vec<Lit> = children.iter().map(|&c| self.encode_term(c)).collect();
+            Term::And(_) => {
+                let mut lits = self.encode_children(term);
                 let fresh = Lit::positive(self.sat.new_var());
                 // fresh ⇒ child, for every child
-                for &child in &child_lits {
+                for &child in &lits {
                     self.sat.add_clause([fresh.negate(), child]);
                 }
                 // (⋀ children) ⇒ fresh
-                let mut clause: Vec<Lit> = child_lits.iter().map(|c| c.negate()).collect();
-                clause.push(fresh);
-                self.sat.add_clause(clause);
+                for child in &mut lits {
+                    *child = child.negate();
+                }
+                lits.push(fresh);
+                self.sat.add_clause(lits);
                 fresh
             }
-            Term::Or(children) => {
-                let child_lits: Vec<Lit> = children.iter().map(|&c| self.encode_term(c)).collect();
+            Term::Or(_) => {
+                let mut lits = self.encode_children(term);
                 let fresh = Lit::positive(self.sat.new_var());
                 // child ⇒ fresh, for every child
-                for &child in &child_lits {
+                for &child in &lits {
                     self.sat.add_clause([child.negate(), fresh]);
                 }
                 // fresh ⇒ (⋁ children)
-                let mut clause: Vec<Lit> = child_lits.clone();
-                clause.push(fresh.negate());
-                self.sat.add_clause(clause);
+                lits.push(fresh.negate());
+                self.sat.add_clause(lits);
                 fresh
             }
         };
-        self.lit_of.insert(term, lit);
+        self.set_lit(term, lit);
         lit
+    }
+
+    /// The literals of a conjunction's or disjunction's children, in order,
+    /// with room for one more.
+    fn encode_children(&mut self, term: TermId) -> Vec<Lit> {
+        let count = self.pool.children(term).len();
+        let mut lits = Vec::with_capacity(count + 1);
+        for i in 0..count {
+            let child = self.pool.children(term)[i];
+            lits.push(self.encode_term(child));
+        }
+        lits
     }
 
     /// Adds `term` to the solver as a top-level assertion.
@@ -59,18 +71,19 @@ impl SmtSolver {
     /// asserting the formulas the IsoPredict encoders produce does not create
     /// unnecessary Tseitin variables at the top level.
     pub(crate) fn assert_encoded(&mut self, term: TermId) {
-        match self.pool.get(term).clone() {
+        match self.pool.get(term) {
             Term::True => {}
             Term::False => {
                 self.sat.add_clause(std::iter::empty());
             }
             Term::And(children) => {
-                for child in children {
+                for i in 0..children.len() {
+                    let child = self.pool.children(term)[i];
                     self.assert_encoded(child);
                 }
             }
-            Term::Or(children) => {
-                let clause: Vec<Lit> = children.iter().map(|&c| self.encode_term(c)).collect();
+            Term::Or(_) => {
+                let clause = self.encode_children(term);
                 self.sat.add_clause(clause);
             }
             _ => {
