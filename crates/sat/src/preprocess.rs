@@ -982,7 +982,7 @@ impl Simplifier {
                 .expect("live clauses are non-empty");
             for scanned in [best, best.negate()] {
                 let candidates = std::mem::take(&mut self.occ[scanned.code()]);
-                for &dj in &candidates {
+                'candidates: for &dj in &candidates {
                     let dj = dj as usize;
                     if dj == ci || c_sig & !self.sigs[dj] != 0 {
                         continue;
@@ -1001,9 +1001,8 @@ impl Simplifier {
                             shared += 1;
                         } else if mark[m.negate().code()] == epoch {
                             if negated.is_some() {
-                                negated = None;
-                                shared = 0;
-                                break;
+                                // Two literals of C negated: neither applies.
+                                continue 'candidates;
                             }
                             negated = Some(m);
                         }

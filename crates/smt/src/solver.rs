@@ -31,7 +31,7 @@ pub struct SmtSolver {
     pub(crate) sat: SatSolver,
     pub(crate) theory: OrderTheory,
     /// `lit_of[term.index()]` is the SAT literal of `term`, once it has one.
-    pub(crate) lit_of: Vec<Option<Lit>>,
+    lit_of: Vec<Option<Lit>>,
     /// The domain size of each finite-domain variable (index = id).
     fd_domain_sizes: Vec<usize>,
     bool_var_count: u32,
