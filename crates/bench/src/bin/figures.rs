@@ -15,6 +15,7 @@ use isopredict::{
     report, IsolationLevel, Obs, PredictionOutcome, Predictor, PredictorConfig, Strategy,
 };
 use isopredict_history::dot::{render, Overlay};
+use isopredict_obs::cli::help_requested;
 use isopredict_workloads::{record_observed, Benchmark, WorkloadConfig};
 
 const USAGE: &str = "usage: figures [--out DIR]";
@@ -40,6 +41,10 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<PathBuf, String>
 }
 
 fn main() -> ExitCode {
+    if help_requested(std::env::args().skip(1)) {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     let out_dir = match parse_args(std::env::args().skip(1)) {
         Ok(out_dir) => out_dir,
         Err(error) => {

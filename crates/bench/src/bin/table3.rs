@@ -9,7 +9,7 @@
 use std::process::ExitCode;
 
 use isopredict_bench::tables::CharacteristicsRow;
-use isopredict_obs::cli::number;
+use isopredict_obs::cli::{help_requested, number};
 use isopredict_workloads::{
     record_observed, Benchmark, WorkloadCharacteristics, WorkloadConfig, WorkloadSize,
 };
@@ -37,6 +37,10 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<u64, String> {
 }
 
 fn main() -> ExitCode {
+    if help_requested(std::env::args().skip(1)) {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     let seeds = match parse_args(std::env::args().skip(1)) {
         Ok(seeds) => seeds,
         Err(error) => {

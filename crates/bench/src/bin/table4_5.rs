@@ -23,13 +23,17 @@ use std::process::ExitCode;
 use isopredict::{IsolationLevel, Obs, Strategy};
 use isopredict_bench::cli::TableArgs;
 use isopredict_bench::tables::PredictionRow;
-use isopredict_obs::cli::MetricsTarget;
+use isopredict_obs::cli::{help_requested, MetricsTarget};
 use isopredict_orchestrator::Campaign;
 use isopredict_workloads::Benchmark;
 
 const USAGE: &str = "usage: table4_5 [--isolation causal|rc|si] [--size small|large] [--seeds N] [--budget N] [--workers N] [--corpus DIR] [--metrics PATH | --metrics-stdout]";
 
 fn main() -> ExitCode {
+    if help_requested(std::env::args().skip(1)) {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     let args = match TableArgs::parse(std::env::args().skip(1), false) {
         Ok(args) => args,
         Err(error) => {

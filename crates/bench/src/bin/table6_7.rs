@@ -25,7 +25,7 @@ use isopredict::{IsolationLevel, Obs, Strategy};
 use isopredict_bench::cli::TableArgs;
 use isopredict_bench::tables::ComparisonRow;
 use isopredict_history::serializability;
-use isopredict_obs::cli::MetricsTarget;
+use isopredict_obs::cli::{help_requested, MetricsTarget};
 use isopredict_orchestrator::{Campaign, WorkerPool};
 use isopredict_workloads::{run, Benchmark, Schedule, WorkloadConfig};
 
@@ -41,6 +41,10 @@ struct SeedTally {
 }
 
 fn main() -> ExitCode {
+    if help_requested(std::env::args().skip(1)) {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     let args = match TableArgs::parse(std::env::args().skip(1), true) {
         Ok(args) => args,
         Err(error) => {

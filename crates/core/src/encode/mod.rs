@@ -466,16 +466,23 @@ pub(crate) mod test_support {
     /// transaction `i` reads both keys from their latest writers and writes
     /// key `i mod 2`.
     pub(crate) fn two_key_round_robin() -> History {
+        round_robin(3, &["x", "y"], 6)
+    }
+
+    /// `txns` transactions dealt round-robin to `sessions` sessions; each
+    /// reads every key from its latest writer and writes key `i % keys`.
+    pub(crate) fn round_robin(sessions: usize, keys: &[&str], txns: usize) -> History {
         let mut b = HistoryBuilder::new();
-        let sessions: Vec<_> = (0..3).map(|s| b.session(format!("s{s}"))).collect();
-        let mut last = [TxnId::INITIAL; 2];
-        for i in 0..6 {
-            let t = b.begin(sessions[i % 3]);
-            b.read(t, "x", last[0]);
-            b.read(t, "y", last[1]);
-            b.write(t, ["x", "y"][i % 2]);
+        let sessions: Vec<_> = (0..sessions).map(|s| b.session(format!("s{s}"))).collect();
+        let mut last = vec![TxnId::INITIAL; keys.len()];
+        for i in 0..txns {
+            let t = b.begin(sessions[i % sessions.len()]);
+            for (&key, &writer) in keys.iter().zip(&last) {
+                b.read(t, key, writer);
+            }
+            b.write(t, keys[i % keys.len()]);
             b.commit(t);
-            last[i % 2] = t;
+            last[i % keys.len()] = t;
         }
         b.finish()
     }

@@ -4,13 +4,23 @@
 use std::time::{Duration, Instant};
 
 use isopredict_history::{serializability, History, SerializabilityResult, TxnId};
-use isopredict_obs::{HeartbeatSample, Obs};
+use isopredict_obs::{HeartbeatSample, Obs, Span};
 use isopredict_smt::{EncodingStats, Heartbeat, SmtResult, SmtSolver, SolverPostmortem};
 
 use crate::config::PredictorConfig;
 use crate::encode::unserializability::ApproxSymbols;
 use crate::encode::Encoder;
 use crate::prediction::{extract, Prediction};
+
+/// The conflict budget of the probe search that runs before preprocessing
+/// (see [`Predictor::predict`]). Most analysis units decide within a few
+/// conflicts, and for them preprocessing costs more than the search. In a
+/// sweep over 10, 25, 50, 100 and 200 on the three benchmark workloads,
+/// the same 8 of rc-sweep's 31 units preprocessed at every budget up to
+/// 100, its median wall time was flat from 10 to 50 and 2–4% higher from
+/// 100 on, and an undecided unit pays the whole probe: 50 is the largest
+/// budget before the rise.
+pub(crate) const PROBE_CONFLICTS: u64 = 50;
 
 /// Why the predictor reported no prediction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,8 +133,9 @@ impl Predictor {
     /// reporting telemetry through `obs`: an `encode` span with
     /// `feasibility`/`isolation`/`unserializability` children, one `solve`
     /// span per solver call (labelled with its result; the first one holds
-    /// the `preprocess` span, and the exact strategy's span also covers its
-    /// candidate's check), `encode.*` size counters, `solver.*` / `pp.*`
+    /// the probe search and, if the probe did not decide, the `preprocess`
+    /// span, and the exact strategy's span also covers its candidate's
+    /// check), `encode.*` size counters, `solver.*` / `pp.*`
     /// work counters (the solver's totals, counted once when the analysis
     /// ends) and, every 10,000 conflicts, a solver heartbeat. Pass
     /// [`Obs::off`] for no telemetry; the cost is then a handful of branch
@@ -150,11 +161,17 @@ impl Predictor {
     /// candidate `σ` serializes, so models that differ only past a
     /// session's boundary never come back.
     ///
-    /// The formula is preprocessed once, under the first `solve` span.
-    /// Refinement clauses then join the simplified formula incrementally:
-    /// the SAT core maps them through its substitutions and restores any
-    /// eliminated variable they mention, so later candidates cost a search,
-    /// not another pass of the pipeline.
+    /// The first `solve` span probes before it preprocesses (the one-step
+    /// inprocessing schedule of Järvisalo, Heule & Biere, "Inprocessing
+    /// Rules", IJCAR 2012): it searches the formula as encoded under
+    /// `PROBE_CONFLICTS` (50) conflicts, and only if that does not decide does
+    /// it rewind the solver, preprocess once and search again under the
+    /// configured budget. The rewind restores the exact pre-search state, so
+    /// every analysis ends either as it would preprocessed first or as it
+    /// would without preprocessing. Refinement clauses join the (possibly
+    /// simplified) formula incrementally: the SAT core maps them through its
+    /// substitutions and restores any eliminated variable they mention, so
+    /// later candidates cost a search, not another pass of the pipeline.
     #[must_use]
     pub fn predict(&self, observed: &History, obs: &Obs) -> PredictionOutcome {
         let mut encoding = self.encode(observed, obs);
@@ -194,13 +211,12 @@ impl Predictor {
                 };
             }
             let solve_span = obs.span("solve");
-            if self.config.preprocess && candidates_examined == 0 {
-                let pp_span = solve_span.obs().span("preprocess");
-                encoder.smt.preprocess();
-                pp_span.finish();
-            }
-            install_heartbeat_bridge(&mut encoder.smt, obs);
-            let result = encoder.smt.check();
+            let result = if self.config.preprocess && candidates_examined == 0 {
+                self.probe_then_preprocess(&mut encoder.smt, &solve_span, obs)
+            } else {
+                install_heartbeat_bridge(&mut encoder.smt, obs);
+                encoder.smt.check()
+            };
             solve_span.label("result", smt_result_label(result));
             let (predicted, boundaries, changed_reads) = match result {
                 SmtResult::Unknown => {
@@ -275,6 +291,37 @@ impl Predictor {
                 pco_cycle,
             }));
         }
+    }
+
+    /// The first search of a preprocessing analysis: the formula as encoded
+    /// under [`PROBE_CONFLICTS`] (or the configured budget, if smaller), and
+    /// only if that does not decide, a rewind, the `preprocess` span under
+    /// `solve_span`, and the search again under the configured budget. The
+    /// rewind makes that second search exactly the one a solver preprocessed
+    /// before its first search would run.
+    fn probe_then_preprocess(
+        &self,
+        smt: &mut SmtSolver,
+        solve_span: &Span,
+        obs: &Obs,
+    ) -> SmtResult {
+        let budget = self.config.conflict_budget;
+        smt.set_conflict_budget(Some(
+            budget.map_or(PROBE_CONFLICTS, |b| b.min(PROBE_CONFLICTS)),
+        ));
+        // The probe is far shorter than the heartbeat interval, so only the
+        // search after preprocessing needs the bridge.
+        let probe = smt.check();
+        smt.set_conflict_budget(budget);
+        if probe != SmtResult::Unknown {
+            return probe;
+        }
+        smt.rewind();
+        let pp_span = solve_span.obs().span("preprocess");
+        smt.preprocess();
+        pp_span.finish();
+        install_heartbeat_bridge(smt, obs);
+        smt.check()
     }
 
     /// The encode phase shared by every strategy, under an `encode` span.
@@ -559,11 +606,13 @@ mod tests {
     fn predict_obs_records_encode_solve_spans_and_solver_counters() {
         use isopredict_obs::{span_forest, MetricsSection, Registry};
 
-        let observed = chained_deposits();
+        // Approx-Strict under read committed needs more conflicts than the
+        // probe allows, so the analysis preprocesses.
+        let observed = two_key_round_robin();
         let registry = Registry::new();
         let obs = registry.obs();
         let root = obs.span("predict");
-        let outcome = predictor(Strategy::ApproxRelaxed, IsolationLevel::Causal)
+        let outcome = predictor(Strategy::ApproxStrict, IsolationLevel::ReadCommitted)
             .predict(&observed, root.obs());
         assert!(outcome.is_prediction());
         let root_id = root.id().expect("enabled");
@@ -643,28 +692,102 @@ mod tests {
         assert!(snapshot.spans.iter().any(|s| s.name == "encode"));
     }
 
+    /// Exact-Strict under snapshot isolation on a 20-transaction
+    /// round-robin history: its first candidate takes more conflicts than
+    /// the probe allows, so the analysis preprocesses, and every candidate
+    /// is serializable, so the loop refines until the candidate cap (3)
+    /// ends it.
+    fn exact_analysis_past_the_probe() -> (History, Predictor) {
+        let predictor = Predictor::new(PredictorConfig {
+            strategy: Strategy::ExactStrict,
+            isolation: IsolationLevel::Snapshot,
+            max_exact_candidates: 3,
+            ..PredictorConfig::default()
+        });
+        (round_robin(5, &["x", "y", "z"], 20), predictor)
+    }
+
     #[test]
     fn exact_strategy_preprocesses_once_per_analysis() {
         use isopredict_obs::{MetricsSection, Registry};
 
-        // Under read committed the first candidate is serializable, so the
-        // loop refines once and predicts on the second.
-        let observed = deposit_withdraw_deposit();
+        let (observed, predictor) = exact_analysis_past_the_probe();
         let registry = Registry::new();
         let obs = registry.obs();
         let root = obs.span("predict");
-        let outcome = predictor(Strategy::ExactStrict, IsolationLevel::ReadCommitted)
-            .predict(&observed, root.obs());
-        assert!(outcome.is_prediction());
+        let outcome = predictor.predict(&observed, root.obs());
+        assert!(outcome.is_unknown(), "{outcome:?}");
         let root_id = root.id().expect("enabled");
         root.finish();
 
         let snapshot = registry.snapshot();
         let candidates = snapshot.counter("exact.candidates");
-        assert!(candidates >= 2, "examined {candidates} candidate(s)");
+        assert_eq!(candidates, 3, "the candidate cap ends the loop");
         let metrics = MetricsSection::for_span(&snapshot, root_id);
         assert_eq!(metrics.span("predict/solve").unwrap().count, candidates);
         assert_eq!(metrics.span("predict/solve/preprocess").unwrap().count, 1);
+    }
+
+    #[test]
+    fn only_an_analysis_the_probe_does_not_decide_preprocesses() {
+        use isopredict_obs::{MetricsSection, Registry};
+
+        let undecided = predictor(Strategy::ApproxStrict, IsolationLevel::ReadCommitted);
+        let cases = [
+            // (history, predictor, whether the probe decides)
+            (
+                chained_deposits(),
+                predictor(Strategy::ApproxRelaxed, IsolationLevel::Causal),
+                true,
+            ),
+            (
+                deposit_withdraw_deposit(),
+                predictor(Strategy::ExactStrict, IsolationLevel::ReadCommitted),
+                true,
+            ),
+            (two_key_round_robin(), undecided.clone(), false),
+            (single_writer_history(), undecided, false),
+        ];
+        for (observed, predictor, decided) in cases {
+            let registry = Registry::new();
+            let obs = registry.obs();
+            let root = obs.span("predict");
+            let outcome = predictor.predict(&observed, root.obs());
+            assert!(!outcome.is_unknown(), "{outcome:?}");
+            let root_id = root.id().expect("enabled");
+            root.finish();
+            let snapshot = registry.snapshot();
+            let metrics = MetricsSection::for_span(&snapshot, root_id);
+            let preprocess_spans = metrics
+                .span("predict/solve/preprocess")
+                .map_or(0, |span| span.count);
+            let conflicts = snapshot.counter("solver.conflicts");
+            if decided {
+                assert_eq!(preprocess_spans, 0, "{}", predictor.config().strategy);
+                assert!(conflicts < PROBE_CONFLICTS);
+                assert_eq!(snapshot.counter("pp.rounds"), 0);
+            } else {
+                assert_eq!(preprocess_spans, 1, "{}", predictor.config().strategy);
+                // The same encoding preprocessed before its first search, as
+                // the solve loop did before it probed.
+                let mut encoding = predictor.encode(&observed, &Obs::off());
+                encoding.encoder.smt.preprocess();
+                encoding.encoder.smt.check();
+                let first = encoding.encoder.smt.work_counters();
+                let first_conflicts = first
+                    .iter()
+                    .find(|&&(name, _)| name == "solver.conflicts")
+                    .map_or(0, |&(_, total)| total);
+                // The rewind makes the search after preprocessing the one a
+                // solver preprocessed first runs: it adds nothing but the
+                // probe's conflicts, and preprocessing does the same work.
+                assert_eq!(conflicts, PROBE_CONFLICTS + first_conflicts);
+                for &(name, total) in first.iter().filter(|(name, _)| name.starts_with("pp.")) {
+                    assert_eq!(snapshot.counter(name), total, "{name}");
+                }
+                assert!(snapshot.counter("pp.rounds") > 0);
+            }
+        }
     }
 
     #[test]
@@ -766,15 +889,12 @@ mod tests {
     fn traced_predict_counts_each_work_counter_once_at_its_total() {
         use isopredict_obs::{validate_stream, BufferSink, Registry};
 
-        // Exact-Strict under read committed refines before it predicts, so
-        // the analysis makes several solver calls.
-        let observed = deposit_withdraw_deposit();
-        let predictor = predictor(Strategy::ExactStrict, IsolationLevel::ReadCommitted);
+        // A probe, a preprocessed search and two refined ones: the analysis
+        // makes several solver calls.
+        let (observed, predictor) = exact_analysis_past_the_probe();
         let sink = BufferSink::new();
         let registry = Registry::with_sink(Box::new(sink.clone()));
-        assert!(predictor
-            .predict(&observed, &registry.obs())
-            .is_prediction());
+        assert!(predictor.predict(&observed, &registry.obs()).is_unknown());
         registry.flush();
         let snapshot = registry.snapshot();
         let candidates = snapshot.counter("exact.candidates");
@@ -785,7 +905,7 @@ mod tests {
         let mut encoding = predictor.encode(&observed, &Obs::off());
         assert!(predictor
             .solve(&observed, &mut encoding, &Obs::off())
-            .is_prediction());
+            .is_unknown());
         let totals = encoding.encoder.smt.work_counters();
 
         let mut names: Vec<&str> = totals.iter().map(|&(name, _)| name).collect();

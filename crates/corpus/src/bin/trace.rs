@@ -30,7 +30,7 @@ use std::process::ExitCode;
 use isopredict_corpus::hash::sha256;
 use isopredict_corpus::{observe_cell, Corpus, CorpusError};
 use isopredict_history::TraceMeta;
-use isopredict_obs::cli::{number, MetricsTarget};
+use isopredict_obs::cli::{help_requested, number, MetricsTarget};
 use isopredict_obs::Obs;
 use isopredict_workloads::{Benchmark, WorkloadConfig, WorkloadSize};
 
@@ -150,6 +150,10 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
 }
 
 fn main() -> ExitCode {
+    if help_requested(std::env::args().skip(1)) {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     let argv: Vec<String> = std::env::args().collect();
     let Args {
         command,

@@ -14,6 +14,7 @@
 
 use std::process::ExitCode;
 
+use isopredict_obs::cli::help_requested;
 use isopredict_obs::validate_stream;
 
 const USAGE: &str = "usage: obs_check <events.jsonl> [--allow-open-spans]";
@@ -46,6 +47,10 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
 }
 
 fn main() -> ExitCode {
+    if help_requested(std::env::args().skip(1)) {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     let Args { path, allow_open } = match parse_args(std::env::args().skip(1)) {
         Ok(args) => args,
         Err(error) => {

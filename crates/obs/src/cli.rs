@@ -1,5 +1,6 @@
 //! CLI plumbing shared by the workspace binaries: the `--metrics <path>` /
-//! `--metrics-stdout` target and the [`number`] option-value parser.
+//! `--metrics-stdout` target, the [`number`] option-value parser and the
+//! [`help_requested`] check.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -48,9 +49,25 @@ pub fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String
         .map_err(|_| format!("{flag} expects a non-negative integer, got `{value}`"))
 }
 
+/// Whether the command line asks for the usage text: `--help` or `-h`
+/// anywhere in `args`. The binaries check it before parsing anything else,
+/// print their usage line to standard output and exit with status 0.
+pub fn help_requested(args: impl IntoIterator<Item = String>) -> bool {
+    args.into_iter().any(|arg| arg == "--help" || arg == "-h")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn help_is_requested_by_either_spelling_anywhere() {
+        let args = |list: &[&str]| list.iter().map(ToString::to_string).collect::<Vec<_>>();
+        assert!(help_requested(args(&["--help"])));
+        assert!(help_requested(args(&["--seeds", "2", "-h"])));
+        assert!(!help_requested(args(&[])));
+        assert!(!help_requested(args(&["--helpful", "-hh", "help"])));
+    }
 
     #[test]
     fn metrics_flag_streams_to_the_file() {

@@ -31,7 +31,7 @@ use std::process::ExitCode;
 
 use isopredict::{IsolationLevel, Obs, Strategy};
 use isopredict_corpus::Corpus;
-use isopredict_obs::cli::{number, MetricsTarget};
+use isopredict_obs::cli::{help_requested, number, MetricsTarget};
 use isopredict_orchestrator::{Campaign, CampaignOptions, ShardPolicy};
 use isopredict_workloads::{Benchmark, WorkloadSize};
 
@@ -156,6 +156,10 @@ fn parse_name<T: std::str::FromStr<Err: std::fmt::Display>>(name: &str) -> Resul
 }
 
 fn main() -> ExitCode {
+    if help_requested(std::env::args().skip(1)) {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     let Args {
         campaign,
         options,

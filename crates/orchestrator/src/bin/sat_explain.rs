@@ -20,6 +20,7 @@
 use std::io::Write;
 use std::process::ExitCode;
 
+use isopredict_obs::cli::help_requested;
 use isopredict_orchestrator::PostmortemRecord;
 use isopredict_smt::busiest_family;
 use serde::Deserialize;
@@ -40,6 +41,10 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Vec<String>, Str
 }
 
 fn main() -> ExitCode {
+    if help_requested(std::env::args().skip(1)) {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     let files = match parse_args(std::env::args().skip(1)) {
         Ok(files) => files,
         Err(error) => {

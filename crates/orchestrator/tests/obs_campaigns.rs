@@ -147,9 +147,10 @@ fn phase_timings_are_the_phase_spans() {
 #[test]
 fn heartbeats_stream_at_the_fixed_interval_and_survive_in_the_postmortem() {
     // Voter under causal at two transactions per session proves Unsat in
-    // about 22,000 conflicts. A budget of 15,000, past the solver's fixed
-    // heartbeat interval of 10,000, ends the cell `unknown` after one
-    // heartbeat.
+    // about 22,000 conflicts. The predictor's 50-conflict probe does not
+    // decide it, so the cell preprocesses and searches again; a budget of
+    // 15,000, past the solver's fixed heartbeat interval of 10,000, ends
+    // that search `unknown` after one heartbeat.
     let campaign = Campaign::new()
         .benchmarks([Benchmark::Voter])
         .seeds([0])
@@ -200,5 +201,9 @@ fn heartbeats_stream_at_the_fixed_interval_and_survive_in_the_postmortem() {
         .iter()
         .map(|hb| hb.conflicts)
         .collect();
-    assert_eq!(conflicts, [10_000], "the post-mortem keeps the heartbeat");
+    // Heartbeats count the solver's conflicts since it was built: the
+    // probe's 50, then 10,000 into the search that ran out of budget.
+    assert_eq!(conflicts, [10_050], "the post-mortem keeps the heartbeat");
+    assert_eq!(postmortem.solver.conflicts_in_call, 15_000);
+    assert_eq!(postmortem.solver.stats.conflicts, 15_050);
 }

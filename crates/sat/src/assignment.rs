@@ -113,6 +113,17 @@ impl Assignment {
         self.trail_lim.truncate(level as usize);
     }
 
+    /// Unassigns the top-level literals from trail position `len` on,
+    /// passing each to `on_unassign`, most recent first. The trail must be
+    /// all top level.
+    pub(crate) fn truncate_root(&mut self, len: usize, mut on_unassign: impl FnMut(Lit)) {
+        debug_assert_eq!(self.decision_level(), 0);
+        for lit in self.trail.drain(len..).rev() {
+            self.values[lit.var().index()] = LBool::Undef;
+            on_unassign(lit);
+        }
+    }
+
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn is_complete(&self) -> bool {
         self.trail.len() == self.values.len()

@@ -54,6 +54,15 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
 }
 
 fn main() -> ExitCode {
+    // The workspace's other binaries share this check as
+    // `isopredict_obs::cli::help_requested`; the SAT crate stands alone.
+    if std::env::args()
+        .skip(1)
+        .any(|arg| arg == "--help" || arg == "-h")
+    {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     let Args { check, files } = match parse_args(std::env::args().skip(1)) {
         Ok(args) => args,
         Err(error) => {

@@ -130,6 +130,14 @@ impl ClauseDb {
         }
     }
 
+    /// Drops every clause from slot `len` on, as if never pushed.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        for index in len..self.clauses.len() {
+            self.delete(ClauseRef(index as u32));
+        }
+        self.clauses.truncate(len);
+    }
+
     pub(crate) fn live_learnt(&self) -> impl Iterator<Item = (ClauseRef, &Clause)> {
         self.clauses
             .iter()

@@ -15,8 +15,10 @@
 //! * VSIDS-style variable activity with phase saving.
 //! * Luby-sequence restarts.
 //! * Learnt-clause database reduction driven by LBD (glue) scores.
-//! * SatELite-style preprocessing ([`Solver::preprocess`]): one explicit
-//!   pass before the first search, with model reconstruction.
+//! * SatELite-style preprocessing ([`Solver::preprocess`]) with model
+//!   reconstruction: one explicit pass before the first search, or after a
+//!   short probe search that did not decide and an exact
+//!   [`Solver::rewind`].
 //! * A [`Theory`] trait for DPLL(T)-style integration: the theory is told
 //!   about assignments to its atoms as they happen and may report conflict
 //!   clauses that the solver then learns from.

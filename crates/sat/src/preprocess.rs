@@ -23,12 +23,18 @@
 //!
 //! Preprocessing is one explicit step: the owner of a solver calls
 //! [`Solver::preprocess`] at most once, before the first search, and every
-//! technique above always runs. Clauses added afterwards join the simplified
-//! formula directly: [`Solver::add_clause`] maps their literals through the
-//! substitution table, transparently restores eliminated variables they
-//! mention (re-adding the stored clauses), and simplifies them against the
-//! top-level assignment, so refinement and blocking-clause loops keep
-//! working without re-running the pipeline.
+//! technique above always runs. A short probe search under a small
+//! conflict budget may come first: only if it does not decide does the
+//! owner [`Solver::rewind`] back to the pre-search state and run the pass
+//! (Järvisalo, Heule & Biere's "search first, simplify when the search
+//! stalls", IJCAR 2012). The rewind is exact, so the search after the pass
+//! is the one a solver preprocessed first would run. Clauses added
+//! afterwards join the simplified formula directly: [`Solver::add_clause`]
+//! maps their literals through the substitution table, transparently
+//! restores eliminated variables they mention (re-adding the stored
+//! clauses), and simplifies them against the top-level assignment, so
+//! refinement and blocking-clause loops keep working without re-running
+//! the pipeline.
 //!
 //! [SatELite]: https://doi.org/10.1007/11499107_5
 
@@ -1404,10 +1410,17 @@ impl Solver {
     /// Runs the static preprocessing pipeline on the current clause database
     /// and returns a summary of the changes made.
     ///
-    /// The pipeline runs at most once per solver, before its first search: a
-    /// second call, or a call after [`Solver::solve`], returns an empty
-    /// summary. Clauses added later join the simplified formula
-    /// incrementally (see the module documentation).
+    /// The pipeline runs at most once per solver, before its first search
+    /// or before the first search after a [`Solver::rewind`]: a second
+    /// call, or a call after [`Solver::solve`] with no rewind since,
+    /// returns an empty summary. Clauses added later join the simplified
+    /// formula incrementally (see the module documentation).
+    ///
+    /// The predictor schedules it as probe → rewind → preprocess: it
+    /// searches the formula as added under a small conflict budget first,
+    /// and only if that returns [`crate::SolveOutcome::Unknown`] does it
+    /// rewind, preprocess and search again under its full budget, so the
+    /// many formulas a few conflicts decide never pay for the pass.
     pub fn preprocess(&mut self) -> PreprocessSummary {
         let mut summary = PreprocessSummary::default();
         if !self.ok {

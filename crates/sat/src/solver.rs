@@ -77,6 +77,18 @@ impl SolveOutcome {
     }
 }
 
+/// The state a search began from, as far as the search changes it: whether
+/// the formula was already refuted, the root trail and how far it was
+/// propagated, and the clause arena (every clause past `clauses` is learnt).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RewindMark {
+    ok: bool,
+    trail: usize,
+    qhead: usize,
+    theory_head: usize,
+    clauses: usize,
+}
+
 /// A watched-literal entry: `cref` is watched on the literal whose watch list
 /// contains this entry; `blocker` is another literal of the clause that, if
 /// true, lets propagation skip the clause without touching it.
@@ -119,8 +131,11 @@ pub struct Solver {
     /// Stored clauses of eliminated variables, for incremental restoration.
     pub(crate) restore_clauses: Vec<Vec<RestoredClause>>,
     /// Whether [`Solver::preprocess`] may still run: it runs at most once,
-    /// before the first search.
+    /// before the first search (or the first after a [`Solver::rewind`]).
     pub(crate) may_preprocess: bool,
+    /// Where [`Solver::rewind`] returns to: taken when the first search
+    /// begins, dropped by a rewind or by adding a clause.
+    pub(crate) rewind_mark: Option<RewindMark>,
     /// Per-family attribution of solver work (see [`crate::flight`]).
     pub(crate) attribution: FamilyAttribution,
     /// Family tag applied to subsequently added problem clauses.
@@ -188,6 +203,7 @@ impl Solver {
             elim_stack: Vec::new(),
             restore_clauses: Vec::new(),
             may_preprocess: true,
+            rewind_mark: None,
             attribution: FamilyAttribution::with_reserved(),
             emit_family: crate::flight::FAMILY_DEFAULT,
             analysis_mask: 0,
@@ -264,6 +280,9 @@ impl Solver {
         family: u16,
         mask: u32,
     ) -> bool {
+        // A clause that may have been simplified against literals the search
+        // fixed, or that fixes one itself, cannot be undone by a rewind.
+        self.rewind_mark = None;
         let mut lits: Vec<Lit> = lits
             .into_iter()
             .map(|lit| self.resolve_subst(lit))
@@ -428,11 +447,19 @@ impl Solver {
 
     /// Solves the current clause set modulo the given theory.
     pub fn solve_with_theory<T: Theory>(&mut self, theory: &mut T) -> SolveOutcome {
+        if std::mem::replace(&mut self.may_preprocess, false) {
+            self.rewind_mark = Some(RewindMark {
+                ok: self.ok,
+                trail: self.assignment.trail.len(),
+                qhead: self.qhead,
+                theory_head: self.theory_head,
+                clauses: self.db.clauses.len(),
+            });
+        }
         if !self.ok {
             return SolveOutcome::Unsat;
         }
         self.model = None;
-        self.may_preprocess = false;
         self.cancel_until(0);
         theory.backtrack_to(0);
 
@@ -483,6 +510,60 @@ impl Solver {
                 }
             }
         }
+    }
+
+    /// Undoes every search since the first one began, so that
+    /// [`Solver::preprocess`] may run and the next search starts exactly
+    /// where the first one did: a short probe search that does not decide
+    /// is then free to fall back to "preprocess, then search".
+    ///
+    /// The rewind restores the root trail and the propagation head to where
+    /// they stood, deletes every learnt clause, puts each problem clause's
+    /// literals back in their ingestion order (sorted; propagation swaps
+    /// them in place), rebuilds the watch lists in clause order, and resets
+    /// the variable activities, their increments, the decision heap and the
+    /// saved phases to their initial values. The work counters
+    /// ([`Solver::stats`]) and the family attribution are cumulative and
+    /// keep the rewound search's work. The owner of a theory must rewind it
+    /// too: its root-level state was built by the search.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there is nothing to rewind: no search ran since the solver
+    /// was built or last rewound, the solver was preprocessed before its
+    /// first search, or a clause was added after it.
+    pub fn rewind(&mut self) {
+        let mark = self
+            .rewind_mark
+            .take()
+            .expect("rewind needs a search to undo, with no clause added after it");
+        self.cancel_until(0);
+        let reasons = &mut self.reasons;
+        self.assignment
+            .truncate_root(mark.trail, |lit| reasons[lit.var().index()] = None);
+        self.qhead = mark.qhead;
+        self.theory_head = mark.theory_head;
+        self.db.truncate(mark.clauses);
+        for list in &mut self.watches {
+            list.clear();
+        }
+        for index in 0..self.db.clauses.len() {
+            let clause = &mut self.db.clauses[index];
+            if clause.deleted {
+                continue;
+            }
+            clause.lits.sort_unstable();
+            clause.activity = 0.0;
+            self.attach_clause(ClauseRef(index as u32));
+        }
+        self.heap = ActivityHeap::new();
+        self.heap.grow_to(self.num_vars());
+        self.phases.fill(false);
+        self.var_inc = 1.0;
+        self.cla_inc = 1.0;
+        self.model = None;
+        self.ok = mark.ok;
+        self.may_preprocess = true;
     }
 
     /// Retrieves the model found by the last successful [`Solver::solve`] call.

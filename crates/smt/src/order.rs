@@ -139,6 +139,28 @@ impl OrderTheory {
         });
     }
 
+    /// Drops every edge, root-level ones included, and restores the
+    /// identity order and empty search buffers of a theory that has seen no
+    /// assertion. The work counters are kept.
+    pub(crate) fn rewind(&mut self) {
+        for atom in self.atoms.iter_mut().flatten() {
+            atom.asserted = false;
+        }
+        for list in &mut self.adj {
+            list.clear();
+        }
+        for list in &mut self.radj {
+            list.clear();
+        }
+        for (node, ord) in self.ord.iter_mut().enumerate() {
+            *ord = node as u32;
+        }
+        self.trail.clear();
+        let nodes = self.scratch.marks.len();
+        self.scratch = Scratch::default();
+        self.scratch.marks.resize(nodes, 0);
+    }
+
     pub(crate) fn num_nodes(&self) -> u32 {
         self.ord.len() as u32
     }
@@ -623,6 +645,48 @@ mod tests {
         theory.backtrack_to(0);
         assert!(theory.trail.is_empty());
         assert!(theory.check_invariants().is_ok());
+    }
+
+    #[test]
+    fn a_rewound_theory_equals_a_fresh_one() {
+        let build = || {
+            let mut theory = OrderTheory::new();
+            let nodes: Vec<OrderNode> = (0..4).map(|_| theory.new_node()).collect();
+            for (i, (from, to)) in [(0, 1), (3, 0), (2, 3), (1, 2)].into_iter().enumerate() {
+                theory.register_atom(Var::from_index(i as u32), nodes[from], nodes[to]);
+            }
+            theory
+        };
+        let state = |theory: &OrderTheory| {
+            format!(
+                "{:?}",
+                (
+                    &theory.atoms,
+                    &theory.adj,
+                    &theory.radj,
+                    &theory.ord,
+                    &theory.trail,
+                    &theory.scratch
+                )
+            )
+        };
+        let fresh = build();
+        let mut theory = build();
+        // Root-level edges that reverse the order, then a cycle at level 1.
+        for (var, level) in [(0, 0), (1, 0), (2, 1)] {
+            assert!(theory
+                .assert_literal(Lit::positive(Var::from_index(var)), level)
+                .is_consistent());
+        }
+        assert!(!theory
+            .assert_literal(Lit::positive(Var::from_index(3)), 1)
+            .is_consistent());
+        theory.backtrack_to(0);
+        assert_ne!(state(&theory), state(&fresh));
+        let stats = theory.stats();
+        theory.rewind();
+        assert_eq!(state(&theory), state(&fresh));
+        assert_eq!(theory.stats(), stats, "the work counters are kept");
     }
 
     #[test]

@@ -32,6 +32,9 @@ pub struct SmtSolver {
     pub(crate) theory: OrderTheory,
     /// `lit_of[term.index()]` is the SAT literal of `term`, once it has one.
     lit_of: Vec<Option<Lit>>,
+    /// The polarities each term has been checked with (see
+    /// `check_order_polarity`), two bits per term.
+    pub(crate) polarity_walked: Vec<u8>,
     /// The domain size of each finite-domain variable (index = id).
     fd_domain_sizes: Vec<usize>,
     bool_var_count: u32,
@@ -63,6 +66,7 @@ impl SmtSolver {
             sat: SatSolver::new(),
             theory: OrderTheory::new(),
             lit_of: Vec::new(),
+            polarity_walked: Vec::new(),
             fd_domain_sizes: Vec::new(),
             bool_var_count: 0,
             true_lit: None,
@@ -358,12 +362,34 @@ impl SmtSolver {
     }
 
     /// Runs SAT-core preprocessing over the formulas asserted so far. It
-    /// runs at most once, before the first [`SmtSolver::check`]; later calls
-    /// return an empty summary, and later assertions join the simplified
-    /// formula incrementally. Without a call the solver searches the formula
-    /// as asserted.
+    /// runs at most once, before the first [`SmtSolver::check`] or the first
+    /// after a [`SmtSolver::rewind`]; other calls return an empty summary,
+    /// and later assertions join the simplified formula incrementally.
+    /// Without a call the solver searches the formula as asserted.
+    ///
+    /// The predictor schedules it as probe → rewind → preprocess: a first
+    /// `check` under a small conflict budget searches the formula as
+    /// asserted, and only if that returns [`SmtResult::Unknown`] does the
+    /// solver rewind, preprocess and search again under the full budget.
     pub fn preprocess(&mut self) -> PreprocessSummary {
         self.sat.preprocess()
+    }
+
+    /// Undoes every [`SmtSolver::check`] since the first one: the SAT core
+    /// returns to the state its first search began from (see
+    /// `isopredict_sat::Solver::rewind`) and the order theory drops every
+    /// edge and restores its identity order, so that [`SmtSolver::preprocess`]
+    /// may run and the next check searches exactly as a fresh solver's
+    /// would. The work counters keep the rewound searches' work.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no check ran since the solver was built or last rewound,
+    /// if it was preprocessed before its first check, or if a formula was
+    /// asserted after it.
+    pub fn rewind(&mut self) {
+        self.sat.rewind();
+        self.theory.rewind();
     }
 
     /// Truth value of a term in the current model. Returns `None` if there is

@@ -95,14 +95,23 @@ impl SmtSolver {
 
     /// Verifies that every order atom (`Less`) in `term` occurs with positive
     /// polarity. See the crate-level documentation for why this matters.
+    /// Each (term, polarity) pair is walked once over the solver's lifetime:
+    /// shared subterms asserted again are not re-walked.
     ///
     /// # Panics
     ///
     /// Panics if a `Less` atom occurs under an odd number of negations.
-    pub(crate) fn check_order_polarity(&self, term: TermId) {
+    pub(crate) fn check_order_polarity(&mut self, term: TermId) {
         // Iterative walk carrying the polarity (true = positive).
         let mut stack = vec![(term, true)];
         while let Some((id, positive)) = stack.pop() {
+            let bit = if positive { POSITIVE } else { NEGATIVE };
+            if self.polarity_walked.len() <= id.index() {
+                self.polarity_walked.resize(self.pool.len(), 0);
+            }
+            if self.polarity_walked[id.index()] & bit != 0 {
+                continue;
+            }
             match self.pool.get(id) {
                 Term::Less(a, b) => {
                     assert!(
@@ -120,9 +129,15 @@ impl SmtSolver {
                 }
                 Term::True | Term::False | Term::BoolVar(_) | Term::FdEq(_, _) => {}
             }
+            self.polarity_walked[id.index()] |= bit;
         }
     }
 }
+
+// `check_order_polarity`'s marks in `polarity_walked`: the polarities a
+// term has been walked with.
+const POSITIVE: u8 = 1;
+const NEGATIVE: u8 = 2;
 
 #[cfg(test)]
 mod tests {
@@ -183,6 +198,24 @@ mod tests {
         }
         smt.assert_term(current);
         assert_eq!(smt.check(), SmtResult::Sat);
+    }
+
+    #[test]
+    #[should_panic(expected = "negative polarity")]
+    fn an_order_atom_walked_positively_is_still_rejected_negated() {
+        // A shared subterm walked with one polarity is walked again with
+        // the other.
+        let mut smt = SmtSolver::new();
+        let a = smt.order_node();
+        let b = smt.order_node();
+        let lt = smt.less(a, b);
+        let c = smt.bool_var();
+        let shared = smt.or([lt, c]);
+        smt.assert_term(shared);
+        let neg = smt.not(shared);
+        let d = smt.bool_var();
+        let outer = smt.or([neg, d]);
+        smt.assert_term(outer);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Brute-force check of the SMT layer on tiny order problems: `check` must
 //! answer Sat exactly when some assignment satisfies every clause with an
 //! acyclic set of true `<` atoms, and every Sat model's order positions must
-//! respect each true atom — with SAT preprocessing on and off.
+//! respect each true atom — with SAT preprocessing on and off, and on the
+//! predictor's probe → rewind → preprocess path.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -99,8 +100,8 @@ fn brute_force_sat(instance: &Instance) -> bool {
     })
 }
 
-/// Encodes `instance`, solves it, and checks the answer and the model.
-fn solve_and_check(instance: &Instance, preprocess: bool) -> Result<(), TestCaseError> {
+/// Encodes `instance` into a fresh solver; returns it with the atom terms.
+fn encode(instance: &Instance) -> (SmtSolver, Vec<TermId>) {
     let mut smt = SmtSolver::new();
     let nodes: Vec<OrderNode> = (0..instance.nodes).map(|_| smt.order_node()).collect();
     let atoms: Vec<TermId> = instance
@@ -121,41 +122,103 @@ fn solve_and_check(instance: &Instance, preprocess: bool) -> Result<(), TestCase
         let disjunction = smt.or(literals);
         smt.assert_term(disjunction);
     }
+    (smt, atoms)
+}
 
-    if preprocess {
-        smt.preprocess();
-    }
+/// Checks a decided `result` against enumeration, and a Sat model's order
+/// positions against each true atom.
+fn check_answer(
+    smt: &SmtSolver,
+    atoms: &[TermId],
+    instance: &Instance,
+    result: SmtResult,
+    path: &str,
+) -> Result<(), TestCaseError> {
     let expected = brute_force_sat(instance);
-    let result = smt.check();
     prop_assert_eq!(
         result == SmtResult::Sat,
         expected,
-        "preprocess={}: solver said {:?} on {:?}",
-        preprocess,
+        "{}: solver said {:?} on {:?}",
+        path,
         result,
         instance
     );
     if result != SmtResult::Sat {
-        prop_assert_eq!(result, SmtResult::Unsat, "no budget was set");
+        prop_assert_eq!(result, SmtResult::Unsat, "{}: no budget was set", path);
         return Ok(());
     }
     let positions = smt.model_order_positions();
     prop_assert!(
         positions.is_some(),
-        "the true atoms of a Sat model are cyclic"
+        "{}: the true atoms of a Sat model are cyclic",
+        path
     );
     let positions = positions.unwrap_or_default();
     for (&atom, &(from, to)) in atoms.iter().zip(&instance.atoms) {
         if smt.model_bool(atom) == Some(true) {
             prop_assert!(
                 positions[from as usize] < positions[to as usize],
-                "true atom {} < {} violated by positions {:?}",
+                "{}: true atom {} < {} violated by positions {:?}",
+                path,
                 from,
                 to,
                 positions
             );
         }
     }
+    Ok(())
+}
+
+/// Encodes `instance`, solves it, and checks the answer and the model.
+fn solve_and_check(instance: &Instance, preprocess: bool) -> Result<(), TestCaseError> {
+    let (mut smt, atoms) = encode(instance);
+    if preprocess {
+        smt.preprocess();
+    }
+    let result = smt.check();
+    let path = if preprocess { "preprocessed" } else { "plain" };
+    check_answer(&smt, &atoms, instance, result, path)
+}
+
+/// The predictor's schedule: a probe under `budget` conflicts whose answer,
+/// if it decides, must be right; then a rewind, preprocessing and a full
+/// search, which must repeat a fresh preprocessed solver's answer, model and
+/// work exactly — the order theory included, so a rewound theory behaves as
+/// a fresh one.
+fn probe_rewind_and_check(instance: &Instance, budget: u64) -> Result<(), TestCaseError> {
+    let (mut fresh, atoms) = encode(instance);
+    fresh.preprocess();
+    let fresh_result = fresh.check();
+
+    let (mut smt, _) = encode(instance);
+    smt.set_conflict_budget(Some(budget));
+    let probe = smt.check();
+    if probe != SmtResult::Unknown {
+        check_answer(&smt, &atoms, instance, probe, "probe")?;
+    }
+    smt.set_conflict_budget(None);
+    smt.rewind();
+    let at_rewind = smt.work_counters();
+    smt.preprocess();
+    let result = smt.check();
+    check_answer(&smt, &atoms, instance, result, "rewound")?;
+
+    prop_assert_eq!(result, fresh_result, "rewound and fresh answers differ");
+    prop_assert_eq!(
+        smt.model_order_positions(),
+        fresh.model_order_positions(),
+        "rewound and fresh order models differ"
+    );
+    for &atom in &atoms {
+        prop_assert_eq!(smt.model_bool(atom), fresh.model_bool(atom));
+    }
+    let rewound_work: Vec<(&str, u64)> = smt
+        .work_counters()
+        .into_iter()
+        .zip(at_rewind)
+        .map(|((name, now), (_, then))| (name, now - then))
+        .collect();
+    prop_assert_eq!(rewound_work, fresh.work_counters(), "work after the rewind");
     Ok(())
 }
 
@@ -168,5 +231,13 @@ proptest! {
     ) {
         solve_and_check(&instance, true)?;
         solve_and_check(&instance, false)?;
+    }
+
+    #[test]
+    fn probe_then_rewind_agrees_with_enumeration_and_a_fresh_solver(
+        instance in instance_strategy(),
+        budget in 1u64..4,
+    ) {
+        probe_rewind_and_check(&instance, budget)?;
     }
 }
